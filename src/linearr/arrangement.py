@@ -9,25 +9,23 @@ increasing direction angle.
 With positive x intercepts the origin sits on side -1 of every line, so
 "does L separate the origin from a vertex" reduces to a single exact side
 sign; all derived combinatorics are translation invariant.
+
+Every predicate here runs on the integer kernel: vertices are integer
+homogeneous triples (X, Y, W) with W > 0, the side of line m at a vertex is
+the sign of ``a*X + b*Y - c*W``, and face orientation is the sign of a 3x3
+integer determinant.  :class:`fractions.Fraction` appears only in the
+O(n^2) translation into conventional position, as the sort key of the
+order rows, and in the ``vertices`` table offered to callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 
-from .geometry import (
-    ArrangementError,
-    LESS,
-    Line,
-    Point,
-    cmp_angle,
-    intersect,
-    line,
-    side,
-)
+from .geometry import ArrangementError, Line, Point, cmp_angle, line, meet, side
 
 VertexKey = tuple[int, int]  # (i, j) with i < j, the pair of line ids
 Triangle = tuple[int, int, int]  # sorted line ids
@@ -71,15 +69,7 @@ class Arrangement:
     @cached_property
     def _vertex_homog(self) -> dict[VertexKey, tuple[int, int, int]]:
         """Vertices as integer homogeneous triples (X, Y, W), W > 0."""
-        out = {}
-        for (i, li), (j, lj) in combinations(enumerate(self.lines, 1), 2):
-            w = li.a * lj.b - lj.a * li.b
-            x = li.c * lj.b - lj.c * li.b
-            y = li.a * lj.c - lj.a * li.c
-            if w < 0:
-                x, y, w = -x, -y, -w
-            out[(i, j)] = (x, y, w)
-        return out
+        return _homogeneous_vertices(self.lines)
 
     @cached_property
     def vertices(self) -> dict[VertexKey, Point]:
@@ -129,6 +119,20 @@ class Arrangement:
             rows.append(tuple(others))
         return tuple(rows)
 
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """The bounded faces, walked once per arrangement; read them through
+        :func:`bounded_faces`."""
+        return tuple(_walk_faces(self))
+
+
+def _homogeneous_vertices(lines) -> dict[VertexKey, tuple[int, int, int]]:
+    """The vertex of every pair of ``lines`` (ids from 1), in combination order."""
+    return {
+        (i, j): meet(li, lj)
+        for (i, li), (j, lj) in combinations(enumerate(lines, 1), 2)
+    }
+
 
 def build_arrangement(raw) -> Arrangement:
     """Validate, angle-sort and conventionally embed a set of lines.
@@ -156,23 +160,25 @@ def build_arrangement(raw) -> Arrangement:
                 "parallel-lines", f"input lines {p} and {q} are parallel: {lp} / {lq}"
             )
 
-    order = sorted(range(len(lines)), key=lambda k: _AngleKey(lines[k]))
-    lines = [lines[k] for k in order]
+    lines.sort(key=cmp_to_key(cmp_angle))
 
-    pts = {}
-    for (i, li), (j, lj) in combinations(enumerate(lines, 1), 2):
-        pts[(i, j)] = intersect(li, lj)
-    for (i, j), v in pts.items():
-        for m, lm in enumerate(lines, 1):
-            if m != i and m != j and side(lm, v) == 0:
+    # The first concurrent triple in combination order of its pair, then of
+    # m: any third line through the vertex of an earliest such pair (i, j)
+    # has an id above j, else an earlier pair would hold the same triple.
+    homog = _homogeneous_vertices(lines)
+    for (i, j), (x, y, w) in homog.items():
+        for m in range(j + 1, len(lines) + 1):
+            lm = lines[m - 1]
+            if lm.a * x + lm.b * y == lm.c * w:
+                v = Point(Fraction(x, w), Fraction(y, w))
                 raise ArrangementError(
                     "concurrent-triple", f"lines {i},{j},{m} pass through {v}"
                 )
 
-    min_vy = min(v.y for v in pts.values())
+    min_vy = min(Fraction(y, w) for _, y, w in homog.values())
     ty = Fraction(1) - min_vy if min_vy <= 0 else Fraction(0)
     min_x = min(
-        min(v.x for v in pts.values()),
+        min(Fraction(x, w) for x, _, w in homog.values()),
         min(ln.x_intercept() + Fraction(ln.b, ln.a) * ty for ln in lines),
     )
     tx = Fraction(1) - min_x if min_x <= 0 else Fraction(0)
@@ -180,23 +186,13 @@ def build_arrangement(raw) -> Arrangement:
         lines = [ln.translated(tx, ty) for ln in lines]
 
     arr = Arrangement(tuple(lines))
-    for v in arr.vertices.values():
-        assert v.x > 0 and v.y > 0
-    for ln in arr.lines:
-        assert ln.c > 0
+    if not all(x > 0 and y > 0 for x, y, _ in arr._vertex_homog.values()):
+        raise ArrangementError(
+            "internal-invariant", "a vertex lies outside the open first quadrant"
+        )
+    if not all(ln.c > 0 for ln in arr.lines):
+        raise ArrangementError("internal-invariant", "an x intercept is not positive")
     return arr
-
-
-class _AngleKey:
-    """Sort key wrapping cmp_angle (a strict total order on non-parallels)."""
-
-    __slots__ = ("line",)
-
-    def __init__(self, ln: Line):
-        self.line = ln
-
-    def __lt__(self, other: "_AngleKey") -> bool:
-        return cmp_angle(self.line, other.line) == LESS
 
 
 def line_orders(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
@@ -280,7 +276,8 @@ def _ccw_after(ref: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> 
 
 
 def bounded_faces(arr: Arrangement) -> list[Face]:
-    """All bounded faces via anticlockwise half-edge traversal.
+    """All bounded faces via anticlockwise half-edge traversal, sorted by
+    size then edges.
 
     Each line is cut by its crossings into segments, extended by one stub
     segment past each extreme crossing standing in for the unbounded rays.
@@ -288,11 +285,35 @@ def bounded_faces(arr: Arrangement) -> list[Face]:
     order, so walking with "take the next edge in clockwise rotational
     order" at each vertex traverses every bounded face exactly once,
     anticlockwise.  Walks that reach a stub tip belong to unbounded faces
-    and are discarded.
+    and are discarded.  The walk runs once per arrangement; later calls
+    return a fresh list of the same faces.
     """
     if arr.n < 3:
         raise ArrangementError("too-few-lines", "faces need at least 3 lines")
+    return list(arr.faces)
+
+
+def _orientation(p, q, r) -> int:
+    """The 3x3 determinant of three homogeneous points with W > 0: positive
+    iff p, q, r turn anticlockwise."""
+    (px, py, pw), (qx, qy, qw), (rx, ry, rw) = p, q, r
+    return (
+        px * (qy * rw - qw * ry)
+        - py * (qx * rw - qw * rx)
+        + pw * (qx * ry - qy * rx)
+    )
+
+
+def _walk_faces(arr: Arrangement) -> list[Face]:
+    """The face walk behind :attr:`Arrangement.faces`; see :func:`bounded_faces`.
+
+    A closed walk is a convex polygon (faces of a line arrangement are
+    convex), so it is a bounded face traversed anticlockwise exactly when
+    every corner turns anticlockwise, which is checked on the integer
+    vertices and is at least as strict as a positive area.
+    """
     rows = arr.order_rows
+    homog = arr._vertex_homog
     dirs = {i: arr.line(i).direction for i in arr.ids}
 
     # neighbour[(i, node)] = (prev node, next node) along line i; nodes are
@@ -360,13 +381,16 @@ def bounded_faces(arr: Arrangement) -> list[Face]:
                 break
         if not closed:
             continue
-        assert all(nd[0] != "stub" for nd, _, _ in cycle)
-        pts = [arr.vertices[nd] for nd, _, _ in cycle]
-        area2 = sum(
-            pts[k].x * pts[(k + 1) % len(pts)].y - pts[(k + 1) % len(pts)].x * pts[k].y
+        if any(nd[0] == "stub" for nd, _, _ in cycle):
+            raise ArrangementError("internal-invariant", "a closed face walk passes a ray stub")
+        pts = [homog[nd] for nd, _, _ in cycle]
+        if not all(
+            _orientation(pts[k - 1], pts[k], pts[(k + 1) % len(pts)]) > 0
             for k in range(len(pts))
-        )
-        assert area2 > 0
+        ):
+            raise ArrangementError(
+                "internal-invariant", f"face walk {cycle} is not an anticlockwise convex polygon"
+            )
         edges = tuple((i, nd) for nd, i, _ in cycle)
         k = min(range(len(edges)), key=lambda t: edges[t])
         faces.append(Face(edges[k:] + edges[:k]))
@@ -477,21 +501,13 @@ def missed_quadrant(arr: Arrangement, i: int, j: int, m: int) -> tuple[int, int]
 
     In general position every other line meets exactly three of the four
     quadrants cut out by lines i and j; the answer identifies the fourth.
+
+    Along line m the side of L_i changes only at V_im and the side of L_j
+    only at V_jm.  The segment between them therefore realizes the signs
+    (side of L_i at V_jm, side of L_j at V_im); each ray beyond it flips one
+    of the two, and the quadrant never met is the one with both flipped.
     """
-    vim, vjm = arr.vertex(i, m), arr.vertex(j, m)
-    li, lj = arr.line(i), arr.line(j)
-    samples = (
-        Point(2 * vim.x - vjm.x, 2 * vim.y - vjm.y),
-        Point((vim.x + vjm.x) / 2, (vim.y + vjm.y) / 2),
-        Point(2 * vjm.x - vim.x, 2 * vjm.y - vim.y),
-    )
-    met = {(side(li, p), side(lj, p)) for p in samples}
-    assert len(met) == 3 and all(s1 and s2 for s1, s2 in met)
-    missing = [
-        q for q in ((1, 1), (1, -1), (-1, 1), (-1, -1)) if q not in met
-    ]
-    assert len(missing) == 1
-    return missing[0]
+    return (-arr.side_at(i, j, m), -arr.side_at(j, i, m))
 
 
 def corner_points_quadrant(arr: Arrangement) -> set[VertexKey]:

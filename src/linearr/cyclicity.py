@@ -167,7 +167,10 @@ def detect_gonality_cycle(arr: Arrangement) -> GonalityCycle | None:
             k = ids.index(1)
             seq = ids[k:] + ids[:k]
             c = validate_cycle(seq)
-            assert c is not None, f"n-gon boundary {seq} fails the two-run shape"
+            if c is None:
+                raise ArrangementError(
+                    "internal-invariant", f"n-gon boundary {seq} fails the two-run shape"
+                )
             return c
     return None
 
@@ -182,7 +185,10 @@ def _triangle_index(n: int) -> dict:
     cycles = enumerate_cycles(n)
     for c in cycles:
         key = frozenset(cycle_triangles(c))
-        assert key not in index, f"triangle sets collide: {index[key]} vs {c}"
+        if key in index:
+            raise ArrangementError(
+                "internal-invariant", f"triangle sets collide: {index[key]} vs {c}"
+            )
         index[key] = c
     return index
 

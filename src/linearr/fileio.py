@@ -5,17 +5,27 @@
     <id> <a> <b> <c>      (N records, ids exactly 1..N in angle order)
 
 Coefficients are integers or "p/q" rationals, never decimals, so files stay
-exact.  Ids must already follow increasing direction angle; the loader
-rejects any other numbering and suggests the relabeling instead of silently
-permuting, so fixtures stay unambiguous across tools.
+exact: a coefficient token is ``-?[0-9]+(/[0-9]+)?`` with at most
+MAX_DIGITS digits per integer, and anything else (decimals, exponents,
+underscores, a leading "+", other digit scripts) is rejected.  Ids must
+already follow increasing direction angle; the loader rejects any other
+numbering and suggests the relabeling instead of silently permuting, so
+fixtures stay unambiguous across tools.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .arrangement import Arrangement, build_arrangement
 from .geometry import ArrangementError, LESS, cmp_angle, line
+
+# Python's own default limit on converting a decimal string to an int.
+MAX_DIGITS = 4300
+_COEFFICIENT = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?" % (MAX_DIGITS, MAX_DIGITS))
+_UNSIGNED = re.compile(r"[0-9]{1,%d}" % MAX_DIGITS)
 
 
 def format_arrangement(arr: Arrangement) -> str:
@@ -26,10 +36,10 @@ def format_arrangement(arr: Arrangement) -> str:
 
 
 def _rational(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ArrangementError("bad-file", f"bad rational {token!r}") from exc
+    m = _COEFFICIENT.fullmatch(token)
+    if m is None or (m.group(2) is not None and int(m.group(2)) == 0):
+        raise ArrangementError("bad-file", f"bad rational {token[:40]!r}")
+    return Fraction(int(m.group(1)), int(m.group(2) or 1))
 
 
 def parse_arrangement(text: str) -> Arrangement:
@@ -40,10 +50,10 @@ def parse_arrangement(text: str) -> Arrangement:
     ]
     if not rows or not rows[0].startswith("arr v1 n="):
         raise ArrangementError("bad-file", 'missing "arr v1 n=<N>" header')
-    try:
-        n = int(rows[0].split("=", 1)[1])
-    except ValueError as exc:
-        raise ArrangementError("bad-file", f"bad header {rows[0]!r}") from exc
+    count = rows[0].split("=", 1)[1]
+    if not _UNSIGNED.fullmatch(count):
+        raise ArrangementError("bad-file", f"bad header {rows[0]!r}")
+    n = int(count)
     if len(rows) - 1 != n:
         raise ArrangementError("bad-file", f"expected {n} records, found {len(rows) - 1}")
     by_id = {}
@@ -51,14 +61,15 @@ def parse_arrangement(text: str) -> Arrangement:
         parts = row.split()
         if len(parts) != 4:
             raise ArrangementError("bad-file", f"bad record {row!r}")
-        ident = int(parts[0]) if parts[0].isdigit() else None
+        ident = int(parts[0]) if _UNSIGNED.fullmatch(parts[0]) else None
         if ident is None or not 1 <= ident <= n or ident in by_id:
             raise ArrangementError("bad-file", f"bad or duplicate id in {row!r}")
         by_id[ident] = line(*(_rational(p) for p in parts[1:]))
     lines = [by_id[i] for i in range(1, n + 1)]
     for i in range(n - 1):
         if cmp_angle(lines[i], lines[i + 1]) != LESS:
-            order = sorted(range(n), key=_angle_rank(lines))
+            key = cmp_to_key(cmp_angle)
+            order = sorted(range(n), key=lambda k: key(lines[k]))
             suggestion = ", ".join(
                 f"{old + 1}->{new + 1}" for new, old in enumerate(order) if old != new
             )
@@ -67,19 +78,6 @@ def parse_arrangement(text: str) -> Arrangement:
                 f"ids must follow increasing angle; suggested relabeling: {suggestion}",
             )
     return build_arrangement(lines)
-
-
-def _angle_rank(lines):
-    class Key:
-        __slots__ = ("k",)
-
-        def __init__(self, k):
-            self.k = k
-
-        def __lt__(self, other):
-            return cmp_angle(lines[self.k], lines[other.k]) == LESS
-
-    return Key
 
 
 def save_arrangement(arr: Arrangement, path) -> None:

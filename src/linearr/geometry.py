@@ -1,8 +1,13 @@
-"""Exact rational points, lines and the predicates everything else builds on.
+"""Exact lines, points and the predicates everything else builds on.
 
-All arithmetic is done with :class:`fractions.Fraction`; no floating point
-ever influences a combinatorial result.  Lines are stored in a canonical
-integer form so that equality, hashing and orientation are well defined.
+Lines are stored in a canonical integer form so that equality, hashing and
+orientation are well defined.  The vertex of two lines is kept as an integer
+homogeneous triple (:func:`meet`), so the side of a line at a vertex is the
+sign of one integer expression; every O(n^3) predicate of the library is
+decided that way.  :class:`fractions.Fraction` remains for points given by
+the user, the translation into conventional position, the sort keys of the
+crossing orders, the realization bounds and output.  No floating point ever
+influences a combinatorial result.
 """
 
 from __future__ import annotations
@@ -115,6 +120,21 @@ def side(ln: Line, p: Point) -> int:
 
 def is_parallel(l1: Line, l2: Line) -> bool:
     return l1.a * l2.b == l2.a * l1.b
+
+
+def meet(l1: Line, l2: Line) -> tuple[int, int, int]:
+    """The common point of two non-parallel lines as an integer homogeneous
+    triple (X, Y, W) with W > 0: the point is (X/W, Y/W).
+
+    Line m passes through it iff ``m.a*X + m.b*Y == m.c*W``, and the sign of
+    ``m.a*X + m.b*Y - m.c*W`` is the side of m the point lies on.
+    """
+    w = l1.a * l2.b - l2.a * l1.b
+    x = l1.c * l2.b - l2.c * l1.b
+    y = l1.a * l2.c - l2.a * l1.c
+    if w < 0:
+        return (-x, -y, -w)
+    return (x, y, w)
 
 
 def intersect(l1: Line, l2: Line) -> Point:

@@ -123,7 +123,8 @@ def is_line_at_infinity_symbolic(nom: Nomenclature, t: int) -> bool:
     vu = lab(u)
     minus_between = [lab(p) for p in range(t + 1, u) if sgn(p) == -1]
     after_u = [lab(p) for p in range(u + 1, nom.n + 1)]
-    assert all(sgn(p) == -1 for p in range(u + 1, nom.n + 1))
+    if not all(sgn(p) == -1 for p in range(u + 1, nom.n + 1)):
+        raise ArrangementError("internal-invariant", "a +1 sign follows the last +1 position")
     low_u = [v for v in after_u if v < vt]
     high_u = [v for v in after_u if v > vt]
 

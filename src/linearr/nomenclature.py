@@ -22,8 +22,8 @@ from .geometry import (
     ArrangementError,
     direction_ladder,
     ladder_direction_vector,
-    intersect,
     line,
+    meet,
 )
 
 _TOKEN = re.compile(r"^(\d+)\^([+-]1)$")
@@ -196,7 +196,11 @@ def derive_nomenclature(arr: Arrangement, perm=None) -> Nomenclature:
         a = 1 if want == -1 else -1
         if l == 3:
             # The triangle rule and the separation rule must agree here.
-            assert a == signs[2], "triangle/separation sign rules disagree at position 3"
+            if a != signs[2]:
+                raise ArrangementError(
+                    "internal-invariant",
+                    "triangle/separation sign rules disagree at position 3",
+                )
         else:
             signs[l - 1] = a
     return Nomenclature(perm, tuple(signs))
@@ -215,30 +219,45 @@ def realize_nomenclature(nom: Nomenclature, variant: int = 0) -> Arrangement:
     which changes no established side: vertex-versus-line signs are
     translation invariant and the origin stays on side -1 of every line
     while intercepts stay positive.
+
+    The lines are kept in the frame of the first one and the translations
+    summed in ``shift``: every translation is along x, so the bound of a
+    vertex in the current frame is ``shift`` plus its bound in the kept
+    frame.  Each vertex is computed once, as an integer homogeneous triple,
+    when its second line is placed; the extreme bound is found by integer
+    cross-multiplication and only it becomes a ``Fraction``.
     """
     n = nom.n
     ladder = direction_ladder(n, variant)
     dirvec = {m: ladder_direction_vector(ladder[m - 1]) for m in range(1, n + 1)}
-    placed: dict[int, object] = {}
+    placed: dict[int, object] = {}  # label -> line, in the first line's frame
+    verts: list[tuple[int, int, int]] = []  # vertices of the placed lines, same frame
+    shift = Fraction(0)
     for pos in range(1, n + 1):
         label = nom.label_at(pos)
         want = nom.sign_at(pos)
         dx, dy = dirvec[label]
         a, b = dy, -dx
-        verts = [
-            intersect(u, v) for u, v in combinations(placed.values(), 2)
-        ]
         if not verts:
             p = Fraction(1)
         else:
-            bounds = [v.x + Fraction(b, a) * v.y for v in verts]
-            p = max(bounds) + 1 if want == 1 else min(bounds) - 1
+            # bound of (X, Y, W) is x + (b/a)*y = (a*X + b*Y) / (a*W), a > 0, W > 0
+            best_num, best_w = None, 1
+            for x, y, w in verts:
+                num = a * x + b * y
+                if best_num is None or want * (num * best_w - best_num * w) > 0:
+                    best_num, best_w = num, w
+            p = shift + Fraction(best_num, a * best_w) + want
             if p <= 0:
-                delta = Fraction(1) - p
-                placed = {m: ln.translated(delta, 0) for m, ln in placed.items()}
+                shift += Fraction(1) - p
                 p = Fraction(1)
-        placed[label] = line(a, b, a * p)
-    arr = build_arrangement(placed.values())
+        new = line(a, b, a * (p - shift))
+        verts.extend(meet(new, ln) for ln in placed.values())
+        placed[label] = new
+    arr = build_arrangement(ln.translated(shift, 0) for ln in placed.values())
     for m in range(1, n + 1):
-        assert arr.line(m).direction == dirvec[m], "ladder order broke the id/label match"
+        if arr.line(m).direction != dirvec[m]:
+            raise ArrangementError(
+                "internal-invariant", "ladder order broke the id/label match"
+            )
     return arr

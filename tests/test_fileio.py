@@ -86,3 +86,34 @@ def test_parse_rejects_zero_denominator():
     with pytest.raises(ArrangementError) as err:
         parse_arrangement("arr v1 n=2\n1 1 -1 1/0\n2 1 0 1\n")
     assert err.value.code == "bad-file"
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1.5", "2e0", "1_0", "+3", "1e5000", "0x10", "٣", "1/-2", "-", "1/", "/2",
+     "1" * 4301, "1/" + "1" * 4301],
+)
+def test_parse_rejects_loose_coefficient_tokens(token):
+    with pytest.raises(ArrangementError) as err:
+        parse_arrangement(f"arr v1 n=2\n1 1 -1 0\n2 1 1 {token}\n")
+    assert err.value.code == "bad-file"
+
+
+def test_parse_accepts_coefficients_up_to_the_digit_limit():
+    big = 10**4299  # 4300 digits
+    arr = parse_arrangement(f"arr v1 n=2\n1 1 -1 0\n2 1 1 -{big}/{big + 1}\n")
+    assert arr.n == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "arr v1 n=1\n² 1 -1 0\n",  # "²".isdigit() holds but int("²") raises
+        "arr v1 n=+2\n1 1 -1 0\n2 1 1 1\n",
+        "arr v1 n=0_2\n1 1 -1 0\n2 1 1 1\n",
+    ],
+)
+def test_parse_rejects_loose_ids_and_counts(text):
+    with pytest.raises(ArrangementError) as err:
+        parse_arrangement(text)
+    assert err.value.code == "bad-file"

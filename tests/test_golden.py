@@ -1,0 +1,47 @@
+"""Byte-for-byte comparison with the committed golden outputs.
+
+The files under ``tests/golden/`` were written by ``tests/golden/generate.py``
+with the library as it stood before its predicates moved to the integer
+side-sign kernel; every fuzz report, realization and analyze report must
+still come out byte-identical.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from linearr.fileio import format_arrangement
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_spec = importlib.util.spec_from_file_location("golden_generate", GOLDEN / "generate.py")
+generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate)
+
+
+def golden(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "case", generate.FUZZ_CASES, ids=lambda c: generate.fuzz_name(c[0], c[1])
+)
+def test_fuzz_reports_match_golden(case, tmp_path):
+    text, json_text = generate.fuzz_outputs(case, tmp_path)
+    name = generate.fuzz_name(case[0], case[1])
+    assert text == golden(f"{name}.txt")
+    assert json_text == golden(f"{name}.json")
+
+
+def test_realizations_and_analyze_reports_match_golden(tmp_path):
+    names = []
+    for name, arr in generate.realizations():
+        names.append(name)
+        text = format_arrangement(arr)
+        assert text == golden(f"realize-{name}.arr"), name
+        if name in generate.ANALYZED:
+            path = tmp_path / f"{name}.arr"
+            path.write_text(text, encoding="ascii")
+            assert generate.analyze_output(path) == golden(f"analyze-{name}.txt"), name
+    assert len(names) == len(generate.VARIANTS) * (len(generate.NOMENCLATURES) + len(generate.CYCLES))
