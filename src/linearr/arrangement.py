@@ -13,9 +13,11 @@ sign; all derived combinatorics are translation invariant.
 Every predicate here runs on the integer kernel: vertices are integer
 homogeneous triples (X, Y, W) with W > 0, the side of line m at a vertex is
 the sign of ``a*X + b*Y - c*W``, and face orientation is the sign of a 3x3
-integer determinant.  :class:`fractions.Fraction` appears only in the
-O(n^2) translation into conventional position, as the sort key of the
-order rows, and in the ``vertices`` table offered to callers.
+integer determinant.  The side signs of all lines at one vertex form one
+int, bit m for line m; the crossing orders, the triangle oracle and the
+face walk are read off these bits.  :class:`fractions.Fraction` appears
+only in the two offsets of the translation into conventional position and
+in the ``vertices`` table and error texts offered to callers.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations
+from itertools import chain, combinations
 
 from .geometry import ArrangementError, Line, Point, cmp_angle, line, meet, side
 
@@ -82,41 +84,49 @@ class Arrangement:
         return self.vertices[_vkey(i, j)]
 
     @cached_property
-    def _side_table(self) -> dict[tuple[int, VertexKey], int]:
-        """Exact side sign of every line at every vertex not on it."""
-        out = {}
-        for key, (x, y, w) in self._vertex_homog.items():
-            i, j = key
-            for m, lm in enumerate(self.lines, 1):
-                if m == i or m == j:
-                    continue
-                v = lm.a * x + lm.b * y - lm.c * w
-                if v == 0:
-                    raise ArrangementError(
-                        "concurrent-triple",
-                        f"lines {i},{j},{m} pass through one point",
-                    )
-                out[(m, key)] = 1 if v > 0 else -1
-        return out
+    def _side_bits(self) -> dict[VertexKey, int]:
+        """Side signs of every line at every vertex, one int per vertex: bit m
+        is set iff line m has side +1 there.  Bits 0, i and j of vertex (i, j)
+        stay clear; read single signs through :meth:`side_at`."""
+        return _side_bits_of(self.lines, self._vertex_homog)
 
     def side_at(self, m: int, i: int, j: int) -> int:
         """Side sign of line m at the vertex of lines i and j (m not in {i,j})."""
-        return self._side_table[(m, _vkey(i, j))]
+        key = (i, j) if i < j else (j, i)
+        if m > 0 and self._side_bits[key] >> m & 1:
+            return 1
+        # a clear bit is side -1 only for a line off the vertex
+        if m == i or m == j or not 0 < m <= len(self.lines):
+            raise KeyError((m, key))
+        return -1
 
     @cached_property
     def order_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Row i: the other ids sorted along line i's conventional orientation."""
+        """Row i: the other ids sorted along line i's conventional orientation.
+
+        Line k's side sign along line i grows iff k > i (the ids follow the
+        direction angle), and it is 0 at the crossing V_ik.  So V_ik comes
+        before V_ij exactly when line k has side +1 at V_ij for k > i, or -1
+        for k < i, and the rank of j in row i counts those k in the side bits
+        of V_ij.
+        """
+        n = self.n
+        bits = self._side_bits
+        full = (1 << (n + 1)) - 2
         rows = []
-        for i, li in enumerate(self.lines, 1):
-            dx, dy = li.direction
-
-            def param(j: int) -> Fraction:
-                x, y, w = self._vertex_homog[_vkey(i, j)]
-                return Fraction(dx * x + dy * y, w)
-
-            others = [j for j in self.ids if j != i]
-            others.sort(key=param)
-            rows.append(tuple(others))
+        for i in self.ids:
+            low = (1 << i) - 2
+            high = full & ~(low | 1 << i)
+            row = [0] * (n - 1)
+            for j in self.ids:
+                if j != i:
+                    b = bits[_vkey(i, j)]
+                    row[((b & high) | (~b & low & ~(1 << j))).bit_count()] = j
+            if not all(row):
+                raise ArrangementError(
+                    "internal-invariant", f"two crossings share a rank on line {i}"
+                )
+            rows.append(tuple(row))
         return tuple(rows)
 
     @cached_property
@@ -132,6 +142,46 @@ def _homogeneous_vertices(lines) -> dict[VertexKey, tuple[int, int, int]]:
         (i, j): meet(li, lj)
         for (i, li), (j, lj) in combinations(enumerate(lines, 1), 2)
     }
+
+
+def _side_bits_of(lines, homog) -> dict[VertexKey, int]:
+    """The side bits of :attr:`Arrangement._side_bits` for ``lines`` (ids from
+    1) and their vertices ``homog``, from one determinant per triple.
+
+    For i < j < k the value D of line k at V_ij is an alternating form in
+    the three lines, and W > 0 at every vertex because ids follow the angle.
+    So line k has the sign of D at V_ij, line i has it at V_jk, and line j
+    has its opposite at V_ik.  D == 0 means the three lines are concurrent.
+    The first such triple in combination order is reported: any third line
+    through the vertex of an earliest such pair (i, j) has an id above j,
+    else an earlier pair would hold the same triple.
+    """
+    if any(l1.a * l2.b <= l2.a * l1.b for l1, l2 in zip(lines, lines[1:])):
+        raise ArrangementError(
+            "internal-invariant", "line ids do not follow the direction angle"
+        )
+    n = len(lines)
+    coeffs = [None] + [(ln.a, ln.b, ln.c) for ln in lines]
+    table = [[0] * (n + 1) for _ in range(n + 1)]  # table[i][j] for i < j
+    for (i, j), (x, y, w) in homog.items():
+        row_i, row_j = table[i], table[j]
+        bit_i, bit_j = 1 << i, 1 << j
+        b_ij = 0
+        for k in range(j + 1, n + 1):
+            a, b, c = coeffs[k]
+            d = a * x + b * y - c * w
+            if d > 0:
+                b_ij |= 1 << k
+                row_j[k] |= bit_i
+            elif d < 0:
+                row_i[k] |= bit_j
+            else:
+                v = Point(Fraction(x, w), Fraction(y, w))
+                raise ArrangementError(
+                    "concurrent-triple", f"lines {i},{j},{k} pass through {v}"
+                )
+        row_i[j] |= b_ij
+    return {(i, j): table[i][j] for i, j in homog}
 
 
 def build_arrangement(raw) -> Arrangement:
@@ -162,30 +212,26 @@ def build_arrangement(raw) -> Arrangement:
 
     lines.sort(key=cmp_to_key(cmp_angle))
 
-    # The first concurrent triple in combination order of its pair, then of
-    # m: any third line through the vertex of an earliest such pair (i, j)
-    # has an id above j, else an earlier pair would hold the same triple.
+    # Side signs are translation invariant, so the bits of the input lines,
+    # which the concurrency check computes anyway, serve the translated ones.
     homog = _homogeneous_vertices(lines)
-    for (i, j), (x, y, w) in homog.items():
-        for m in range(j + 1, len(lines) + 1):
-            lm = lines[m - 1]
-            if lm.a * x + lm.b * y == lm.c * w:
-                v = Point(Fraction(x, w), Fraction(y, w))
-                raise ArrangementError(
-                    "concurrent-triple", f"lines {i},{j},{m} pass through {v}"
-                )
+    bits = _side_bits_of(lines, homog)
 
-    min_vy = min(Fraction(y, w) for _, y, w in homog.values())
-    ty = Fraction(1) - min_vy if min_vy <= 0 else Fraction(0)
-    min_x = min(
-        min(Fraction(x, w) for x, _, w in homog.values()),
-        min(ln.x_intercept() + Fraction(ln.b, ln.a) * ty for ln in lines),
-    )
-    tx = Fraction(1) - min_x if min_x <= 0 else Fraction(0)
+    # ty lifts the lowest vertex to y = 1, then tx moves the leftmost vertex
+    # or x intercept to x = 1; each is needed only when that bound is <= 0.
+    min_vy = Fraction(*_least((y, w) for _, y, w in homog.values()))
+    ty = 1 - min_vy if min_vy <= 0 else 0
+    p, q = ty.numerator, ty.denominator
+    min_x = Fraction(*_least(chain(
+        ((x, w) for x, _, w in homog.values()),
+        ((ln.c * q + ln.b * p, ln.a * q) for ln in lines),
+    )))
+    tx = 1 - min_x if min_x <= 0 else 0
     if tx or ty:
         lines = [ln.translated(tx, ty) for ln in lines]
 
     arr = Arrangement(tuple(lines))
+    arr._side_bits = bits
     if not all(x > 0 and y > 0 for x, y, _ in arr._vertex_homog.values()):
         raise ArrangementError(
             "internal-invariant", "a vertex lies outside the open first quadrant"
@@ -193,6 +239,17 @@ def build_arrangement(raw) -> Arrangement:
     if not all(ln.c > 0 for ln in arr.lines):
         raise ArrangementError("internal-invariant", "an x intercept is not positive")
     return arr
+
+
+def _least(pairs) -> tuple[int, int]:
+    """The smallest of some (numerator, positive denominator) pairs, compared
+    by cross-multiplication."""
+    it = iter(pairs)
+    best_num, best_den = next(it)
+    for num, den in it:
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
 
 
 def line_orders(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
@@ -216,19 +273,22 @@ def triangle_faces_oracle(arr: Arrangement) -> TriangleSet:
     """Ground-truth triangle faces, by definition: {i,j,k} is a triangle iff
     no other line touches or crosses the closed triangle of the three mutual
     vertices, i.e. every other line sees all three vertices on one strict side.
+
+    With the side bits that reads: the three vertices' bits agree everywhere
+    except at i, j and k themselves.
     """
     if arr.n < 3:
         raise ArrangementError("too-few-lines", "triangles need at least 3 lines")
+    bits = arr._side_bits
+    full = (1 << (arr.n + 1)) - 2
     out = set()
-    for i, j, k in combinations(arr.ids, 3):
-        for m in arr.ids:
-            if m in (i, j, k):
-                continue
-            s = arr.side_at(m, i, j)
-            if arr.side_at(m, j, k) != s or arr.side_at(m, i, k) != s:
-                break
-        else:
-            out.add((i, j, k))
+    for i, j in combinations(arr.ids, 2):
+        b_ij = bits[(i, j)]
+        others = full & ~(1 << i | 1 << j)
+        for k in range(j + 1, arr.n + 1):
+            b_jk, b_ik = bits[(j, k)], bits[(i, k)]
+            if not ((b_ij ^ b_jk) | (b_ij ^ b_ik)) & others & ~(1 << k):
+                out.add((i, j, k))
     return out
 
 
@@ -255,38 +315,16 @@ class Face:
         return len(self.edges)
 
 
-def _ccw_after(ref: tuple[int, int], u: tuple[int, int], v: tuple[int, int]) -> bool:
-    """True iff u has a strictly larger anticlockwise angle from ref than v.
-
-    Angles measured in (0, 2*pi); no candidate ever equals ref exactly.
-    """
-
-    def half(w):
-        cross = ref[0] * w[1] - ref[1] * w[0]
-        if cross > 0:
-            return 0  # in (0, pi)
-        if cross == 0:
-            return 1  # exactly pi (opposite of ref)
-        return 2  # in (pi, 2*pi)
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return hu > hv
-    return v[0] * u[1] - v[1] * u[0] > 0
-
-
 def bounded_faces(arr: Arrangement) -> list[Face]:
     """All bounded faces via anticlockwise half-edge traversal, sorted by
     size then edges.
 
-    Each line is cut by its crossings into segments, extended by one stub
-    segment past each extreme crossing standing in for the unbounded rays.
-    With the rays represented, every real vertex carries its full rotational
-    order, so walking with "take the next edge in clockwise rotational
-    order" at each vertex traverses every bounded face exactly once,
-    anticlockwise.  Walks that reach a stub tip belong to unbounded faces
-    and are discarded.  The walk runs once per arrangement; later calls
-    return a fresh list of the same faces.
+    A half-edge runs along one line between two consecutive crossings.  Only
+    two lines meet at each vertex of a simple arrangement, so the face on the
+    left of a half-edge continues at its end vertex by turning left onto the
+    other line there.  A walk that runs off the end of a crossing order has
+    reached a ray and belongs to an unbounded face.  The walk runs once per
+    arrangement; later calls return a fresh list of the same faces.
     """
     if arr.n < 3:
         raise ArrangementError("too-few-lines", "faces need at least 3 lines")
@@ -307,83 +345,42 @@ def _orientation(p, q, r) -> int:
 def _walk_faces(arr: Arrangement) -> list[Face]:
     """The face walk behind :attr:`Arrangement.faces`; see :func:`bounded_faces`.
 
+    Half-edge (i, p, s) leaves the crossing at index p of row i towards index
+    p + s.  Arriving at V_ij along line i it turns left onto line j, whose
+    direction lies anticlockwise of line i's iff j > i; so the step keeps its
+    sign for i < j and flips it for i > j.
+
     A closed walk is a convex polygon (faces of a line arrangement are
     convex), so it is a bounded face traversed anticlockwise exactly when
     every corner turns anticlockwise, which is checked on the integer
     vertices and is at least as strict as a positive area.
     """
-    rows = arr.order_rows
+    rows = (None,) + arr.order_rows
     homog = arr._vertex_homog
-    dirs = {i: arr.line(i).direction for i in arr.ids}
-
-    # neighbour[(i, node)] = (prev node, next node) along line i; nodes are
-    # real vertex keys plus ("stub", i, -1/+1) ray stand-ins.
-    neighbour: dict[tuple[int, object], tuple[object, object]] = {}
-    for i in arr.ids:
-        seq = [("stub", i, -1)] + [_vkey(i, j) for j in rows[i - 1]] + [("stub", i, 1)]
-        for k, nd in enumerate(seq):
-            prv = seq[k - 1] if k > 0 else None
-            nxt = seq[k + 1] if k + 1 < len(seq) else None
-            neighbour[(i, nd)] = (prv, nxt)
-
-    def lines_through(nd):
-        return (nd[1],) if nd[0] == "stub" else nd
-
-    def target(half_edge):
-        nd, i, step = half_edge
-        prv, nxt = neighbour[(i, nd)]
-        return nxt if step == 1 else prv
-
-    half_edges = [
-        (nd, i, step)
-        for (i, nd), (prv, nxt) in neighbour.items()
-        for step, tgt in ((1, nxt), (-1, prv))
-        if tgt is not None
-    ]
-
-    def next_half_edge(h):
-        nd, i, step = h
-        w = target(h)
-        dx, dy = dirs[i]
-        ref = (-step * dx, -step * dy)  # reversed incoming direction
-        best = None
-        best_dir = None
-        for j in lines_through(w):
-            for s in (1, -1):
-                if j == i and s == -step:
-                    continue  # the edge going straight back
-                if target((w, j, s)) is None:
-                    continue
-                d = (s * dirs[j][0], s * dirs[j][1])
-                if best is None or _ccw_after(ref, d, best_dir):
-                    best, best_dir = (w, j, s), d
-        return best  # None only at a stub tip (unbounded face)
+    last = arr.n - 2  # the highest index of a row
+    pos = [None] + [{j: p for p, j in enumerate(row)} for row in rows[1:]]
 
     seen = set()
     faces = []
-    for start in half_edges:
-        if start in seen:
+    for start in (
+        (i, p, s) for i in arr.ids for p in range(last + 1) for s in (1, -1)
+    ):
+        if start in seen or not 0 <= start[1] + start[2] <= last:
             continue
         cycle = []
         h = start
-        closed = True
         while True:
             seen.add(h)
             cycle.append(h)
-            h = next_half_edge(h)
-            if h is None:
-                closed = False
+            i, p, s = h
+            j = rows[i][p + s]
+            h = (j, pos[j][i], s if i < j else -s)
+            if h == start or h in seen or not 0 <= h[1] + h[2] <= last:
                 break
-            if h == start:
-                break
-            if h in seen:
-                closed = False
-                break
-        if not closed:
+        if h != start:
             continue
-        if any(nd[0] == "stub" for nd, _, _ in cycle):
-            raise ArrangementError("internal-invariant", "a closed face walk passes a ray stub")
-        pts = [homog[nd] for nd, _, _ in cycle]
+        edges = tuple((i, _vkey(i, rows[i][p])) for i, p, _ in cycle)
+        pts = [homog[vk] for _, vk in edges]
         if not all(
             _orientation(pts[k - 1], pts[k], pts[(k + 1) % len(pts)]) > 0
             for k in range(len(pts))
@@ -391,7 +388,6 @@ def _walk_faces(arr: Arrangement) -> list[Face]:
             raise ArrangementError(
                 "internal-invariant", f"face walk {cycle} is not an anticlockwise convex polygon"
             )
-        edges = tuple((i, nd) for nd, i, _ in cycle)
         k = min(range(len(edges)), key=lambda t: edges[t])
         faces.append(Face(edges[k:] + edges[:k]))
     faces.sort(key=lambda f: (len(f), f.edges))

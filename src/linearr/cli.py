@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .arrangement import (
     corner_points,
@@ -18,7 +17,7 @@ from .arrangement import (
     triangle_faces_oracle,
 )
 from .cyclicity import cycle_triangles, detect_gonality_cycle, enumerate_cycles, parse_cycle, realize_cycle
-from .fileio import load_arrangement, save_arrangement
+from .fileio import load_arrangement, parse_rational, save_arrangement
 from .fuzzing import FuzzConfig, fuzz_differential
 from .geometry import ArrangementError
 from .infinity import is_line_at_infinity_symbolic, nomenclature_triangles
@@ -174,10 +173,15 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    padding = parse_rational(args.padding)
+    if padding is None:
+        raise ArrangementError(
+            "bad-token", f"bad padding {args.padding[:40]!r}: need an integer or p/q"
+        )
     arr = load_arrangement(args.file)
     spec = RenderSpec(
         path=args.output,
-        padding=Fraction(args.padding),
+        padding=padding,
         labels=not args.no_labels,
         shade=not args.no_shade,
     )
@@ -231,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render an arrangement file to SVG")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--padding", default="1", help='viewport padding, rational like "3/2"')
+    p.add_argument("--padding", default="1", help='viewport padding, a non-negative integer or p/q like "3/2"')
     p.add_argument("--no-labels", action="store_true")
     p.add_argument("--no-shade", action="store_true")
     p.set_defaults(fn=_cmd_render)

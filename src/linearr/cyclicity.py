@@ -126,6 +126,37 @@ def enumerate_cycles(n: int) -> list[GonalityCycle]:
     return out
 
 
+def _unrank_cycle(n: int, k: int) -> GonalityCycle:
+    """``enumerate_cycles(n)[k]``, built digit by digit without the census.
+
+    A cycle is its first run F (1 first, ascending), then the rest ascending,
+    and it is valid iff F minus 1 is not {2..max F}.  In ``seq`` order, after
+    the digits of F chosen so far, closing the run comes first (its next digit
+    is the least label left, below max F), then each continuation v > max F,
+    which has 2^(n-v) completions less the n-v+1 invalid ones when F with v
+    is still {1..v}.
+    """
+    rank = k
+    first = [1]
+    initial = True  # first == [1, 2, ..., first[-1]]
+    while True:
+        if not initial:
+            if k == 0:
+                rest = [x for x in range(2, n + 1) if x not in first]
+                return GonalityCycle(tuple(first + rest), len(first))
+            k -= 1
+        for v in range(first[-1] + 1, n + 1):
+            grows = initial and v == first[-1] + 1
+            count = 2 ** (n - v) - (n - v + 1 if grows else 0)
+            if k < count:
+                first.append(v)
+                initial = grows
+                break
+            k -= count
+        else:
+            raise ArrangementError("n-out-of-range", f"no cycle of rank {rank} on {n} lines")
+
+
 def realize_cycle(c: GonalityCycle, variant: int = 0) -> Arrangement:
     """Realize a cycle as tangent lines of the rational unit circle.
 

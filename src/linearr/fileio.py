@@ -35,11 +35,20 @@ def format_arrangement(arr: Arrangement) -> str:
     return "\n".join(out) + "\n"
 
 
-def _rational(token: str) -> Fraction:
+def parse_rational(token: str) -> Fraction | None:
+    """The exact value of a coefficient token, or None when the token breaks
+    the rule above or has a zero denominator."""
     m = _COEFFICIENT.fullmatch(token)
     if m is None or (m.group(2) is not None and int(m.group(2)) == 0):
-        raise ArrangementError("bad-file", f"bad rational {token[:40]!r}")
+        return None
     return Fraction(int(m.group(1)), int(m.group(2) or 1))
+
+
+def _rational(token: str) -> Fraction:
+    q = parse_rational(token)
+    if q is None:
+        raise ArrangementError("bad-file", f"bad rational {token[:40]!r}")
+    return q
 
 
 def parse_arrangement(text: str) -> Arrangement:

@@ -36,9 +36,9 @@ from .arrangement import (
 )
 from .cyclicity import (
     GonalityCycle,
+    _unrank_cycle,
     cycle_triangles,
     detect_gonality_cycle,
-    enumerate_cycles,
     format_cycle,
     realize_cycle,
     validate_cycle,
@@ -114,7 +114,7 @@ def gen_cyclic(n: int, seed: int) -> tuple[GonalityCycle, Arrangement]:
         raise ArrangementError("n-out-of-range", "cyclic family needs n >= 4")
     rng = SplitMix64(seed)
     if n <= 20:
-        cycle = rng.choice(enumerate_cycles(n))
+        cycle = _unrank_cycle(n, rng.below(2 ** (n - 1) - n))
     else:
         while True:  # rejection on the first-run subset; almost always accepts
             mask = rng.next_u64()

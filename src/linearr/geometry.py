@@ -4,10 +4,11 @@ Lines are stored in a canonical integer form so that equality, hashing and
 orientation are well defined.  The vertex of two lines is kept as an integer
 homogeneous triple (:func:`meet`), so the side of a line at a vertex is the
 sign of one integer expression; every O(n^3) predicate of the library is
-decided that way.  :class:`fractions.Fraction` remains for points given by
-the user, the translation into conventional position, the sort keys of the
-crossing orders, the realization bounds and output.  No floating point ever
-influences a combinatorial result.
+decided that way, and :meth:`Line.translated` stays in integers too.
+:class:`fractions.Fraction` remains for points given by the user, the
+offsets of the translation into conventional position, the realization
+bounds and output.  No floating point ever influences a combinatorial
+result.
 """
 
 from __future__ import annotations
@@ -82,7 +83,14 @@ class Line:
         return Fraction(self.c, self.a)
 
     def translated(self, dx: Fraction, dy: Fraction) -> "Line":
-        return line(self.a, self.b, self.c + self.a * dx + self.b * dy)
+        """The line moved by (dx, dy): a*x + b*y = c + a*dx + b*dy, scaled by
+        the denominators of dx and dy and reduced by one gcd."""
+        p, q = dx.numerator, dx.denominator
+        r, s = dy.numerator, dy.denominator
+        a, b = self.a * q * s, self.b * q * s
+        c = self.c * q * s + self.a * p * s + self.b * r * q
+        g = gcd(a, b, c)
+        return Line(a // g, b // g, c // g)
 
     def __str__(self) -> str:
         return f"{self.a}x + {self.b}y = {self.c}"

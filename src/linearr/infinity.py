@@ -10,8 +10,6 @@ cross-checked against their geometric counterparts by the fuzz harness.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .arrangement import TriangleSet
 from .geometry import ArrangementError, sign
 from .nomenclature import Nomenclature
@@ -64,11 +62,41 @@ def is_nomenclature_triangle(nom: Nomenclature, i: int, j: int, k: int) -> bool:
 
 
 def nomenclature_triangles(nom: Nomenclature) -> TriangleSet:
-    """The full triangle set read off the nomenclature, as sorted label triples."""
-    out = set()
-    for i, j, k in combinations(range(1, nom.n + 1), 3):
-        if is_nomenclature_triangle(nom, i, j, k):
-            out.add(tuple(sorted((nom.label_at(i), nom.label_at(j), nom.label_at(k)))))
+    """The full triangle set read off the nomenclature, as sorted label triples.
+
+    The rule of :func:`is_nomenclature_triangle`, evaluated for each pair of
+    positions i < j by one upward scan over k.  Each case of the rule carries
+    one flag: its prefix condition held through position k and every
+    position between j and k carried the sign the case asks of an
+    in-between line.  A case whose flag dies stays dead for every larger k,
+    so the scan stops once both flags are dead.
+    """
+    labels, signs = nom.labels, nom.signs
+    n = nom.n
+    out = {tuple(sorted(labels[:3]))}  # positions (1, 2, 3)
+    for i in range(n - 2):  # 0-based positions from here on
+        li = labels[i]
+        for j in range(i + 1, n - 1):
+            lj, aj = labels[j], signs[j]
+            lo, hi = (li, lj) if li < lj else (lj, li)
+            outside = not any(lo < v < hi for v in labels[: j + 1])
+            inside = all(lo <= v <= hi for v in labels[: j + 1])
+            turn = aj if lj > li else -aj  # aj * sign(lab(j) - lab(i))
+            for k in range(j + 1, n):
+                lk, sk = labels[k], signs[k]
+                outside = outside and not lo < lk < hi
+                inside = inside and lo <= lk <= hi
+                if outside:
+                    want = turn if lk > lj else -turn
+                elif inside:
+                    want = aj
+                else:
+                    break
+                if sk == want:
+                    out.add(tuple(sorted((li, lj, lk))))
+                # as an in-between position for larger k, k needs -want
+                outside = outside and sk == -want
+                inside = inside and sk == -want
     return out
 
 

@@ -120,10 +120,20 @@ def canonical_infinity_permutation(arr: Arrangement):
     largest id.  Returns the permutation as an insertion order (first created
     line first) or None when some stage of 3+ lines has no at-infinity line.
     """
+    bits = arr._side_bits
     remaining = list(arr.ids)
     suffix = []
     while len(remaining) > 2:
-        cands = [m for m in remaining if at_infinity_in_subset(arr, m, remaining)]
+        # Bit m of plus (minus) is set iff line m has side +1 (-1) at some
+        # vertex of the remaining lines other than its own: exactly the lines
+        # with both set are not at infinity.
+        plus = minus = 0
+        for i, j in combinations(remaining, 2):
+            b = bits[(i, j)]
+            plus |= b
+            minus |= ~(b | 1 << i | 1 << j)
+        mixed = plus & minus
+        cands = [m for m in remaining if not mixed >> m & 1]
         if not cands:
             return None
         pick = max(cands)
@@ -181,19 +191,23 @@ def derive_nomenclature(arr: Arrangement, perm=None) -> Nomenclature:
     pat = _pattern_signs(arr, perm[:3])
     for pos in range(3):
         signs[pos] = pat[perm[pos]]
+    # plus and minus fold the side bits of the prefix's vertices as in
+    # canonical_infinity_permutation, one new line of the prefix at a time.
+    bits = arr._side_bits
+    plus = minus = 0
     for l in range(3, n + 1):
+        q = perm[l - 2]
+        for p in perm[: l - 2]:
+            b = bits[(p, q) if p < q else (q, p)]
+            plus |= b
+            minus |= ~(b | 1 << p | 1 << q)
         m = perm[l - 1]
-        want = 0
-        for i, j in combinations(perm[: l - 1], 2):
-            s = arr.side_at(m, i, j)
-            if want == 0:
-                want = s
-            elif s != want:
-                raise ArrangementError(
-                    "not-an-infinity-permutation",
-                    f"line {m} (position {l}) sees vertices of its prefix on both sides",
-                )
-        a = 1 if want == -1 else -1
+        if plus >> m & minus >> m & 1:
+            raise ArrangementError(
+                "not-an-infinity-permutation",
+                f"line {m} (position {l}) sees vertices of its prefix on both sides",
+            )
+        a = -1 if plus >> m & 1 else 1
         if l == 3:
             # The triangle rule and the separation rule must agree here.
             if a != signs[2]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement, triangle_faces_oracle
-from .geometry import Line
+from .geometry import ArrangementError, Line
 
 _WIDTH = Fraction(800)
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -27,7 +27,7 @@ class RenderSpec:
 
     def __post_init__(self):
         if self.padding < 0:
-            raise ValueError("padding must be >= 0")
+            raise ArrangementError("bad-token", f"padding must be >= 0, got {self.padding}")
 
 
 def _fmt(q: Fraction) -> str:

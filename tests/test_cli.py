@@ -1,6 +1,11 @@
 import json
+from fractions import Fraction
+
+import pytest
 
 from linearr.cli import cli_main
+from linearr.fileio import load_arrangement
+from linearr.svg import RenderSpec, svg_text
 
 SEVEN = "1^+1 2^-1 3^+1 7^+1 6^+1 4^-1 5^+1"
 SIX_A = "1^+1 2^-1 5^+1 3^+1 4^-1 6^+1"
@@ -141,6 +146,28 @@ def test_render_writes_svg(capsys, tmp_path):
     capsys.readouterr()
     body = open(svg_path).read()
     assert body.startswith("<?xml") and body.count("<line ") == 3
+
+
+def test_render_padding_keeps_its_output(capsys, tmp_path):
+    arr_path = str(tmp_path / "t.arr")
+    svg_path = str(tmp_path / "t.svg")
+    assert cli_main(["realize", "--nomenclature", "1^+1 2^-1 3^+1", "-o", arr_path]) == 0
+    assert cli_main(["render", arr_path, "-o", svg_path, "--padding", "3/2"]) == 0
+    capsys.readouterr()
+    spec = RenderSpec(path=svg_path, padding=Fraction(3, 2))
+    assert open(svg_path).read() == svg_text(load_arrangement(arr_path), spec)
+
+
+@pytest.mark.parametrize("padding", ["abc", "-1", "1e3"])
+def test_render_rejects_a_bad_padding(capsys, tmp_path, padding):
+    arr_path = str(tmp_path / "t.arr")
+    svg_path = tmp_path / "t.svg"
+    assert cli_main(["realize", "--nomenclature", "1^+1 2^-1 3^+1", "-o", arr_path]) == 0
+    capsys.readouterr()
+    code, _, err = run(capsys, "render", arr_path, "-o", str(svg_path), "--padding", padding)
+    assert code == 2
+    assert err.startswith("error: bad-token: ")
+    assert not svg_path.exists()
 
 
 def test_fuzz_subcommand_with_json(capsys, tmp_path):

@@ -8,6 +8,7 @@ from linearr.arrangement import (
 )
 from linearr.cyclicity import (
     GonalityCycle,
+    _unrank_cycle,
     cycle_triangles,
     detect_gonality_cycle,
     enumerate_cycles,
@@ -53,6 +54,32 @@ def test_census_counts(n, count):
     cycles = enumerate_cycles(n)
     assert len(cycles) == count == 2 ** (n - 1) - n
     assert len({c.seq for c in cycles}) == count
+
+
+def test_unrank_equals_the_census_at_every_rank():
+    for n in range(3, 15):
+        cycles = enumerate_cycles(n)
+        assert [_unrank_cycle(n, k) for k in range(len(cycles))] == cycles
+    with pytest.raises(ArrangementError) as err:
+        _unrank_cycle(6, 2 ** 5 - 6)
+    assert err.value.code == "n-out-of-range"
+
+
+def test_unrank_at_sampled_ranks_of_larger_censuses():
+    cycles = enumerate_cycles(16)
+    for k in range(0, len(cycles), 97):
+        assert _unrank_cycle(16, k) == cycles[k]
+    # n = 20 without its census: sampled ranks give valid cycles in seq
+    # order, from the least cycle to the greatest
+    count = 2 ** 19 - 20
+    ranks = sorted({0, 1, count - 2, count - 1} | {k * 7919 % count for k in range(300)})
+    got = [_unrank_cycle(20, k) for k in ranks]
+    assert all(validate_cycle(c.seq) == c for c in got)
+    assert all(a.seq < b.seq for a, b in zip(got, got[1:]))
+    assert got[0].seq == tuple(range(1, 19)) + (20, 19)
+    assert got[-1].seq == (1, 20) + tuple(range(2, 20))
+    with pytest.raises(ArrangementError):
+        _unrank_cycle(20, count)
 
 
 def test_census_range_guard():

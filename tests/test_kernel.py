@@ -1,27 +1,41 @@
-"""Guards of the integer side-sign kernel: ``missed_quadrant`` equals the
-sample-point form kept here as a reference, faces are walked once per
-arrangement, concurrency errors name the first triple, and invariant checks
-survive ``python -O``."""
+"""Guards of the integer side-sign kernel.
+
+The tables read off the side bits (side signs, crossing orders, the
+triangle oracle, Theorem B's triangle set, the greedy infinity permutation
+and the derived nomenclature) equal the direct forms they replaced, which
+are kept here as references; so does ``missed_quadrant`` its sample-point
+form.  Faces are walked once per arrangement, concurrency errors name the
+first triple, and invariant checks survive ``python -O``."""
 
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
 
 from linearr import arrangement
 from linearr.arrangement import (
+    Arrangement,
+    at_infinity_in_subset,
     bounded_faces,
     build_arrangement,
     missed_quadrant,
+    triangle_faces_oracle,
     triangles_from_faces,
 )
 from linearr.cyclicity import detect_gonality_cycle, parse_cycle, realize_cycle
-from linearr.fuzzing import gen_generic
-from linearr.geometry import ArrangementError, Point, side
-from linearr.nomenclature import parse_nomenclature, realize_nomenclature
+from linearr.fuzzing import SplitMix64, gen_cyclic, gen_generic, gen_infinity_type
+from linearr.geometry import ArrangementError, Line, Point, side
+from linearr.infinity import is_nomenclature_triangle, nomenclature_triangles
+from linearr.nomenclature import (
+    Nomenclature,
+    canonical_infinity_permutation,
+    derive_nomenclature,
+    parse_nomenclature,
+    realize_nomenclature,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -140,3 +154,171 @@ def test_realize_checks_its_labels_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["optimized", "internal-invariant"]
+
+
+# The direct forms the side-bit tables replaced.
+
+
+def order_rows_by_fraction_keys(arr):
+    """Each row sorted by the exact position of its crossings along the line."""
+    rows = []
+    for i in arr.ids:
+        dx, dy = arr.line(i).direction
+        others = [j for j in arr.ids if j != i]
+        others.sort(key=lambda j: dx * arr.vertex(i, j).x + dy * arr.vertex(i, j).y)
+        rows.append(tuple(others))
+    return tuple(rows)
+
+
+def triangle_faces_by_lines(arr):
+    """{i,j,k} is a triangle iff every other line, one at a time, sees its
+    three vertices on one side."""
+    out = set()
+    for i, j, k in combinations(arr.ids, 3):
+        for m in arr.ids:
+            if m in (i, j, k):
+                continue
+            s = arr.side_at(m, i, j)
+            if arr.side_at(m, j, k) != s or arr.side_at(m, i, k) != s:
+                break
+        else:
+            out.add((i, j, k))
+    return out
+
+
+def nomenclature_triangles_by_triples(nom):
+    """The union of the per-triple rule over all position triples."""
+    return {
+        tuple(sorted(nom.label_at(p) for p in (i, j, k)))
+        for i, j, k in combinations(range(1, nom.n + 1), 3)
+        if is_nomenclature_triangle(nom, i, j, k)
+    }
+
+
+def canonical_permutation_by_subsets(arr):
+    """Strip the largest at-infinity line, testing each line on its own."""
+    remaining = list(arr.ids)
+    suffix = []
+    while len(remaining) > 2:
+        cands = [m for m in remaining if at_infinity_in_subset(arr, m, remaining)]
+        if not cands:
+            return None
+        suffix.append(max(cands))
+        remaining.remove(max(cands))
+    return tuple(reversed(suffix + sorted(remaining, reverse=True)))
+
+
+def derived_signs_by_side_at(arr, perm):
+    """Signs from position 4 on, or the position of the first line that sees
+    its prefix's vertices on both sides."""
+    signs = []
+    for l in range(3, arr.n + 1):
+        m = perm[l - 1]
+        seen = {arr.side_at(m, i, j) for i, j in combinations(perm[: l - 1], 2)}
+        if len(seen) != 1:
+            return l
+        signs.append(-seen.pop())
+    return tuple(signs[1:])
+
+
+def all_nomenclatures(n):
+    for labels in permutations(range(1, n + 1)):
+        i, j, k = sorted(labels[:3])
+        for lead in ({i: 1, j: -1, k: 1}, {i: -1, j: 1, k: -1}):
+            for tail in product((1, -1), repeat=n - 3):
+                yield Nomenclature(labels, tuple(lead[x] for x in labels[:3]) + tail)
+
+
+def seeded_arrangements():
+    """Realizations up to n = 30 beside the kernel set."""
+    yield from kernel_arrangements()
+    for n in range(3, 31, 3):
+        for seed in range(3):
+            yield gen_infinity_type(n, 100 * n + seed)[1]
+    for n in range(4, 31, 4):
+        yield gen_cyclic(n, n)[1]
+
+
+def test_side_bits_equal_the_sign_at_each_vertex():
+    for arr in kernel_arrangements():
+        # the lazy table of a bare arrangement and the one build hands over
+        bare = Arrangement(arr.lines)
+        for i, j in combinations(arr.ids, 2):
+            v = arr.vertex(i, j)
+            for m in arr.ids:
+                if m not in (i, j):
+                    want = side(arr.line(m), v)
+                    assert arr.side_at(m, i, j) == want == bare.side_at(m, j, i)
+
+
+def test_side_at_refuses_a_line_through_the_vertex():
+    arr = realize_nomenclature(parse_nomenclature(NOMENCLATURES[0]))
+    for m, i, j in ((2, 2, 5), (5, 2, 5), (0, 2, 5), (-1, 2, 5), (8, 2, 5)):
+        with pytest.raises(KeyError):
+            arr.side_at(m, i, j)
+
+
+def test_lazy_side_bits_report_a_concurrent_triple():
+    # three angle-sorted lines through (1, 1), never passed through build
+    bare = Arrangement((Line(1, -1, 0), Line(1, 0, 1), Line(1, 1, 2)))
+    with pytest.raises(ArrangementError) as err:
+        bare.order_rows
+    assert err.value.code == "concurrent-triple"
+    assert str(err.value).startswith("lines 1,2,3 pass through")
+
+
+def test_side_bits_refuse_lines_out_of_angle_order():
+    lines = realize_nomenclature(parse_nomenclature(NOMENCLATURES[0])).lines
+    bare = Arrangement(lines[::-1])
+    with pytest.raises(ArrangementError) as err:
+        bare.order_rows
+    assert err.value.code == "internal-invariant"
+
+
+def test_order_rows_equal_the_fraction_key_sort():
+    for arr in seeded_arrangements():
+        assert arr.order_rows == order_rows_by_fraction_keys(arr)
+
+
+def test_triangle_oracle_equals_the_per_line_loop():
+    for arr in seeded_arrangements():
+        assert triangle_faces_oracle(arr) == triangle_faces_by_lines(arr)
+
+
+def test_greedy_permutation_and_derived_signs_equal_the_per_line_forms():
+    shuffled = 0
+    for index, arr in enumerate(seeded_arrangements()):
+        perm = canonical_infinity_permutation(arr)
+        assert perm == canonical_permutation_by_subsets(arr)
+        if perm is not None and arr.n >= 4:
+            assert derive_nomenclature(arr, perm).signs[3:] == derived_signs_by_side_at(arr, perm)
+        ids = list(arr.ids)
+        SplitMix64(index).shuffle(ids)
+        want = derived_signs_by_side_at(arr, ids)
+        if isinstance(want, int):
+            shuffled += 1
+            with pytest.raises(ArrangementError) as err:
+                derive_nomenclature(arr, ids)
+            assert f"(position {want})" in str(err.value)
+        elif arr.n >= 4:
+            assert derive_nomenclature(arr, ids).signs[3:] == want
+    assert shuffled > 50
+
+
+def test_theorem_b_scan_equals_the_per_triple_rule():
+    count = 0
+    for n in range(3, 7):
+        for nom in all_nomenclatures(n):
+            assert nomenclature_triangles(nom) == nomenclature_triangles_by_triples(nom)
+            count += 1
+    assert count == 12 + 96 + 960 + 11520
+    rng = SplitMix64(2024)
+    for n in range(7, 31):
+        for _ in range(4):
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            i, j, k = sorted(labels[:3])
+            lead = {i: 1, j: -1, k: 1} if rng.below(2) else {i: -1, j: 1, k: -1}
+            signs = [lead[x] for x in labels[:3]] + [rng.sign() for _ in range(n - 3)]
+            nom = Nomenclature(tuple(labels), tuple(signs))
+            assert nomenclature_triangles(nom) == nomenclature_triangles_by_triples(nom)

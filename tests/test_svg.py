@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from linearr.arrangement import build_arrangement
+from linearr.geometry import ArrangementError
 from linearr.nomenclature import parse_nomenclature, realize_nomenclature
 from linearr.svg import RenderSpec, render_svg, svg_text
 
@@ -44,8 +45,9 @@ def test_label_and_shade_switches():
 
 
 def test_padding_must_be_nonnegative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ArrangementError) as err:
         RenderSpec(path="u.svg", padding=Fraction(-1))
+    assert err.value.code == "bad-token"
 
 
 def test_two_line_arrangement_renders_with_padding():
