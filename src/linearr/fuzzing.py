@@ -275,25 +275,22 @@ def check_triangle_opposite_orders(nom: Nomenclature, arr: Arrangement, oracle) 
     """For every oracle triangle beyond the base one: on both of its first
     two lines (in insertion order), the crossing with the third lies on the
     opposite side of their shared vertex from the crossings with every line
-    inserted between the second and the third."""
+    inserted between the second and the third.  Sides are read off the
+    ranks of the crossings in the order rows, which run along each line's
+    conventional direction."""
     pos = {lab: p for p, lab in enumerate(nom.labels, 1)}
+    ranks = [{lab: r for r, lab in enumerate(row)} for row in arr.order_rows]
     for tri in oracle:
         i, j, k = sorted((pos[x] for x in tri))
         if k <= 3:
             continue
         li, lj, lk = nom.label_at(i), nom.label_at(j), nom.label_at(k)
         for base, other in ((li, lj), (lj, li)):
-            dx, dy = arr.line(base).direction
-
-            def param(lab):
-                v = arr.vertex(base, lab)
-                return dx * v.x + dy * v.y
-
-            centre = param(other)
-            far = param(lk) - centre
+            rank = ranks[base - 1]
+            centre = rank[other]
+            far = rank[lk] > centre
             for l in range(j + 1, k):
-                near = param(nom.label_at(l)) - centre
-                if (near > 0) == (far > 0):
+                if (rank[nom.label_at(l)] > centre) == far:
                     return False
     return True
 

@@ -6,9 +6,9 @@ homogeneous triple (:func:`meet`), so the side of a line at a vertex is the
 sign of one integer expression; every O(n^3) predicate of the library is
 decided that way, and :meth:`Line.translated` stays in integers too.
 :class:`fractions.Fraction` remains for points given by the user, the
-offsets of the translation into conventional position, the realization
-bounds and output.  No floating point ever influences a combinatorial
-result.
+offsets of the translation into conventional position and output; both
+realizers build their lines from integers.  No floating point ever
+influences a combinatorial result.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .arrangement import Arrangement, at_infinity_in_subset, build_arrangement
@@ -226,34 +225,39 @@ def realize_nomenclature(nom: Nomenclature, variant: int = 0) -> Arrangement:
 
     Label m receives the m-th direction of an exact rational ladder, so ids
     come out equal to labels.  Lines are inserted in nomenclature order;
-    each new line's x intercept is chosen 1 beyond the bound that puts all
-    existing vertices strictly on the required side (origin side for +1,
-    far side for -1).  Whenever the bound would force a non-positive
-    intercept, the configuration built so far is first translated in +x,
-    which changes no established side: vertex-versus-line signs are
-    translation invariant and the origin stays on side -1 of every line
-    while intercepts stay positive.
+    each new line's x intercept is the nearest integer strictly beyond the
+    bound that puts all existing vertices strictly on the required side:
+    ``floor(bound) + 1`` for +1 (origin side) and ``ceil(bound) - 1`` for
+    -1 (far side).  Whenever that would be a non-positive intercept, the
+    configuration built so far is first translated in +x, which changes no
+    established side: vertex-versus-line signs are translation invariant
+    and the origin stays on side -1 of every line while intercepts stay
+    positive.  Every line lies beyond all vertices before it, so its
+    crossing order is fixed by the directions alone and the combinatorial
+    type does not depend on which intercept beyond the bound is taken; an
+    integer one keeps each line's coefficients those of its small ladder
+    direction.
 
     The lines are kept in the frame of the first one and the translations
-    summed in ``shift``: every translation is along x, so the bound of a
-    vertex in the current frame is ``shift`` plus its bound in the kept
-    frame.  Each vertex is computed once, as an integer homogeneous triple,
-    when its second line is placed; the extreme bound is found by integer
-    cross-multiplication and only it becomes a ``Fraction``.
+    summed in the integer ``shift``: every translation is along x, so the
+    bound of a vertex in the current frame is ``shift`` plus its bound in
+    the kept frame.  Each vertex is computed once, as an integer
+    homogeneous triple, when its second line is placed; the extreme bound is
+    found by integer cross-multiplication and rounded by floor division.
     """
     n = nom.n
     ladder = direction_ladder(n, variant)
     dirvec = {m: ladder_direction_vector(ladder[m - 1]) for m in range(1, n + 1)}
     placed: dict[int, object] = {}  # label -> line, in the first line's frame
     verts: list[tuple[int, int, int]] = []  # vertices of the placed lines, same frame
-    shift = Fraction(0)
+    shift = 0
     for pos in range(1, n + 1):
         label = nom.label_at(pos)
         want = nom.sign_at(pos)
         dx, dy = dirvec[label]
         a, b = dy, -dx
         if not verts:
-            p = Fraction(1)
+            p = 1
         else:
             # bound of (X, Y, W) is x + (b/a)*y = (a*X + b*Y) / (a*W), a > 0, W > 0
             best_num, best_w = None, 1
@@ -261,10 +265,11 @@ def realize_nomenclature(nom: Nomenclature, variant: int = 0) -> Arrangement:
                 num = a * x + b * y
                 if best_num is None or want * (num * best_w - best_num * w) > 0:
                     best_num, best_w = num, w
-            p = shift + Fraction(best_num, a * best_w) + want
+            den = a * best_w
+            p = shift + (best_num // den + 1 if want == 1 else -(-best_num // den) - 1)
             if p <= 0:
-                shift += Fraction(1) - p
-                p = Fraction(1)
+                shift += 1 - p
+                p = 1
         new = line(a, b, a * (p - shift))
         verts.extend(meet(new, ln) for ln in placed.values())
         placed[label] = new

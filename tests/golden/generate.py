@@ -5,10 +5,14 @@
 Each case is a fixed input and the exact bytes the library produced for it:
 fuzz reports (text and JSON, through the CLI), realized ``.arr`` files of
 nomenclatures and gonality cycles in both ladder variants, and the
-``analyze`` report of some of those files.  The files in this directory
-were written by the library before the integer side-sign kernel replaced
-its ``Fraction`` predicates, so they pin that change to byte-identical
-output.  Regenerate them only for a change that is meant to alter output.
+``analyze`` report of some of those files.  The fuzz reports and the
+cycle files were written by the library before the integer side-sign
+kernel replaced its ``Fraction`` predicates, so they pin that change to
+byte-identical output.  The nomenclature realizations and their analyze
+reports were rewritten when ``realize_nomenclature`` moved to integer
+intercepts, which shortens the coefficients (the ``line k:`` lines) but
+keeps every order, corner, triangle and class line.  Regenerate the files
+only for a change that is meant to alter output.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Byte-for-byte comparison with the committed golden outputs.
 
-The files under ``tests/golden/`` were written by ``tests/golden/generate.py``
-with the library as it stood before its predicates moved to the integer
-side-sign kernel; every fuzz report, realization and analyze report must
-still come out byte-identical.
+The files under ``tests/golden/`` were written by ``tests/golden/generate.py``:
+the fuzz reports and the cycle files with the library as it stood before its
+predicates moved to the integer side-sign kernel, the nomenclature
+realizations and their analyze reports since ``realize_nomenclature`` uses
+integer intercepts.  Every fuzz report, realization and analyze report must
+come out byte-identical.
 """
 
 import importlib.util

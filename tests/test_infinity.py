@@ -9,7 +9,12 @@ from linearr.infinity import (
     is_nomenclature_triangle,
     nomenclature_triangles,
 )
-from linearr.nomenclature import Nomenclature, parse_nomenclature, realize_nomenclature
+from linearr.nomenclature import (
+    Nomenclature,
+    derive_nomenclature,
+    parse_nomenclature,
+    realize_nomenclature,
+)
 
 SEVEN = parse_nomenclature("1^+1 2^-1 3^+1 7^+1 6^+1 4^-1 5^+1")
 SIX_A = parse_nomenclature("1^+1 2^-1 5^+1 3^+1 4^-1 6^+1")
@@ -96,14 +101,21 @@ def _all_nomenclatures(n):
 
 
 def test_exhaustive_small_agreement_with_geometry():
-    for n in (3, 4):
+    """Every well-formed nomenclature with n <= 6: the realization reads back
+    as the nomenclature, Theorem B gives its triangles and the symbolic
+    infinity rule its at-infinity lines."""
+    count = 0
+    for n in range(3, 7):
         for nom in _all_nomenclatures(n):
             arr = realize_nomenclature(nom)
+            assert derive_nomenclature(arr, nom.labels) == nom
             assert nomenclature_triangles(nom) == triangle_faces_oracle(arr)
             for t in range(1, n + 1):
                 assert is_line_at_infinity_symbolic(nom, t) == is_line_at_infinity_geom(
                     arr, nom.label_at(t)
                 )
+            count += 1
+    assert count == 12 + 96 + 960 + 11520
 
 
 def _necessary_condition(nom, i, j, k):

@@ -3,13 +3,17 @@
 The tables read off the side bits (side signs, crossing orders, the
 triangle oracle, Theorem B's triangle set, the greedy infinity permutation
 and the derived nomenclature) equal the direct forms they replaced, which
-are kept here as references; so does ``missed_quadrant`` its sample-point
-form.  Faces are walked once per arrangement, concurrency errors name the
-first triple, and invariant checks survive ``python -O``."""
+are kept here as references; so do ``missed_quadrant`` its sample-point
+form, the opposite-orders fuzz check its crossing-parameter form and the
+integer-intercept realizer the combinatorial type of the ``Fraction``-margin
+realizer.  Faces are walked once per arrangement, concurrency errors name
+the first triple, realized coefficients stay short, and invariant checks
+survive ``python -O``."""
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -26,8 +30,23 @@ from linearr.arrangement import (
     triangles_from_faces,
 )
 from linearr.cyclicity import detect_gonality_cycle, parse_cycle, realize_cycle
-from linearr.fuzzing import SplitMix64, gen_cyclic, gen_generic, gen_infinity_type
-from linearr.geometry import ArrangementError, Line, Point, side
+from linearr.fuzzing import (
+    SplitMix64,
+    check_triangle_opposite_orders,
+    gen_cyclic,
+    gen_generic,
+    gen_infinity_type,
+)
+from linearr.geometry import (
+    ArrangementError,
+    Line,
+    Point,
+    direction_ladder,
+    ladder_direction_vector,
+    line,
+    meet,
+    side,
+)
 from linearr.infinity import is_nomenclature_triangle, nomenclature_triangles
 from linearr.nomenclature import (
     Nomenclature,
@@ -322,3 +341,96 @@ def test_theorem_b_scan_equals_the_per_triple_rule():
             signs = [lead[x] for x in labels[:3]] + [rng.sign() for _ in range(n - 3)]
             nom = Nomenclature(tuple(labels), tuple(signs))
             assert nomenclature_triangles(nom) == nomenclature_triangles_by_triples(nom)
+
+
+def triangle_opposite_orders_by_parameters(nom, arr, oracle):
+    """``check_triangle_opposite_orders`` with each crossing placed by its
+    ``Fraction`` parameter along the base line's direction."""
+    pos = {lab: p for p, lab in enumerate(nom.labels, 1)}
+    for tri in oracle:
+        i, j, k = sorted(pos[x] for x in tri)
+        if k <= 3:
+            continue
+        li, lj, lk = nom.label_at(i), nom.label_at(j), nom.label_at(k)
+        for base, other in ((li, lj), (lj, li)):
+            dx, dy = arr.line(base).direction
+
+            def param(lab):
+                v = arr.vertex(base, lab)
+                return dx * v.x + dy * v.y
+
+            centre = param(other)
+            far = param(lk) - centre
+            for l in range(j + 1, k):
+                near = param(nom.label_at(l)) - centre
+                if (near > 0) == (far > 0):
+                    return False
+    return True
+
+
+def realize_nomenclature_fraction_margin(nom, variant=0):
+    """``realize_nomenclature`` as it was before integer intercepts: each line
+    exactly 1 beyond its ``Fraction`` bound."""
+    ladder = direction_ladder(nom.n, variant)
+    placed, verts = [], []
+    shift = Fraction(0)
+    for pos in range(1, nom.n + 1):
+        want = nom.sign_at(pos)
+        dx, dy = ladder_direction_vector(ladder[nom.label_at(pos) - 1])
+        a, b = dy, -dx
+        p = Fraction(1)
+        if verts:
+            bounds = (Fraction(a * x + b * y, a * w) for x, y, w in verts)
+            p = shift + max(bounds, key=lambda v: want * v) + want
+            if p <= 0:
+                shift += 1 - p
+                p = Fraction(1)
+        new = line(a, b, a * (p - shift))
+        verts.extend(meet(new, ln) for ln in placed)
+        placed.append(new)
+    return build_arrangement(ln.translated(shift, 0) for ln in placed)
+
+
+def seeded_nomenclatures(n_values, seeds):
+    for n in n_values:
+        for seed in seeds:
+            yield gen_infinity_type(n, 1000 * n + seed)[0]
+
+
+def test_opposite_orders_check_equals_the_parameter_form():
+    """Matched pairs all pass; a realization of another nomenclature of the
+    same size makes the check fail often enough to compare failures too."""
+    matched, mismatched = [], []
+    for n in range(4, 17):
+        noms = list(seeded_nomenclatures([n], range(6)))
+        for nom, stranger in zip(noms, noms[1:] + noms[:1]):
+            arr = realize_nomenclature(nom)
+            oracle = triangle_faces_oracle(arr)
+            for case, results in ((nom, matched), (stranger, mismatched)):
+                got = check_triangle_opposite_orders(case, arr, oracle)
+                assert got == triangle_opposite_orders_by_parameters(case, arr, oracle)
+                results.append(got)
+    assert all(matched)
+    assert mismatched.count(False) > 20 and True in mismatched
+
+
+def test_realized_coefficients_stay_short():
+    """Integer intercepts keep each line to its small ladder direction; a
+    ``Fraction`` bound scaled them by its denominator (up to 463 bits here)."""
+    most = 0
+    for seed in range(40):
+        nom, arr = gen_infinity_type(40, seed)
+        for realized in (arr, realize_nomenclature(nom, 1)):
+            for ln in realized.lines:
+                most = max(most, abs(ln.a).bit_length(), abs(ln.b).bit_length(),
+                           abs(ln.c).bit_length())
+    assert most <= 160
+
+
+def test_integer_intercepts_keep_the_combinatorial_type():
+    for nom in seeded_nomenclatures(range(3, 31), range(2)):
+        for variant in (0, 1):
+            arr = realize_nomenclature(nom, variant)
+            ref = realize_nomenclature_fraction_margin(nom, variant)
+            assert arr.order_rows == ref.order_rows
+            assert [f.edges for f in bounded_faces(arr)] == [f.edges for f in bounded_faces(ref)]
