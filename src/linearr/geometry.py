@@ -3,12 +3,13 @@
 Lines are stored in a canonical integer form so that equality, hashing and
 orientation are well defined.  The vertex of two lines is kept as an integer
 homogeneous triple (:func:`meet`), so the side of a line at a vertex is the
-sign of one integer expression; every O(n^3) predicate of the library is
-decided that way, and :meth:`Line.translated` stays in integers too.
+sign of one integer expression and the crossing order along a line is an
+order of integer keys; every predicate of the library is decided that way,
+and :meth:`Line.translated` stays in integers too.
 :class:`fractions.Fraction` remains for points given by the user, the
 offsets of the translation into conventional position and output; both
-realizers build their lines from integers.  No floating point ever
-influences a combinatorial result.
+realizers build their lines from integers, which :func:`line` reduces
+without it.  No floating point ever influences a combinatorial result.
 """
 
 from __future__ import annotations
@@ -101,7 +102,14 @@ def line(a, b, c) -> Line:
 
     Raises ``horizontal-line`` for a == 0 (the convention 0 < theta < pi
     excludes horizontal lines) and ``invalid-line`` for (a, b) == (0, 0).
+    Integer coefficients, what both realizers pass, are reduced by one gcd
+    without going through :class:`~fractions.Fraction`.
     """
+    if type(a) is int and type(b) is int and type(c) is int and a:
+        g = gcd(a, b, c)
+        if a < 0:
+            g = -g
+        return Line(a // g, b // g, c // g)
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0 and b == 0:
         raise ArrangementError("invalid-line", "coefficients (a, b) must not both be zero")

@@ -36,6 +36,26 @@ def test_line_rejects_horizontal_and_degenerate():
     assert err.value.code == "invalid-line"
 
 
+def build_or_error(a, b, c):
+    try:
+        return line(a, b, c)
+    except ArrangementError as exc:
+        return exc.code, str(exc)
+
+
+def test_integer_coefficients_give_the_fraction_path_line():
+    """Integer input skips Fraction but gives the same line, error code and
+    text."""
+    values = (-12, -6, -4, -3, -1, 0, 1, 2, 3, 4, 6, 9, 10**30 + 2)
+    for a in values:
+        for b in values:
+            for c in values:
+                got = build_or_error(a, b, c)
+                assert got == build_or_error(Fraction(a), Fraction(b), Fraction(c))
+                if not isinstance(got, tuple):
+                    assert type(got.a) is type(got.b) is type(got.c) is int
+
+
 def test_direction_has_positive_y():
     for coeffs in ((1, 1, 2), (3, -2, 5), (7, 0, 1)):
         dx, dy = line(*coeffs).direction

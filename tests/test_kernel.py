@@ -1,20 +1,26 @@
 """Guards of the integer side-sign kernel.
 
-The tables read off the side bits (side signs, crossing orders, the
-triangle oracle, Theorem B's triangle set, the greedy infinity permutation
-and the derived nomenclature) equal the direct forms they replaced, which
-are kept here as references; so do ``missed_quadrant`` its sample-point
-form, the opposite-orders fuzz check its crossing-parameter form and the
-integer-intercept realizer the combinatorial type of the ``Fraction``-margin
-realizer.  Faces are walked once per arrangement, concurrency errors name
-the first triple, realized coefficients stay short, and invariant checks
-survive ``python -O``."""
+The rows-first kernel (one exact sort per line, then side bits from prefix
+masks) equals the determinant-per-triple side bits with popcount-ranked
+rows it replaced, and the tables read off the side bits (side signs,
+crossing orders, the triangle oracle, Theorem B's triangle set, the greedy
+infinity permutation, the derived nomenclature and the face walk) equal the
+direct forms they replaced, which are kept here as references; so do
+``missed_quadrant`` its sample-point form, the opposite-orders fuzz check
+its crossing-parameter form and the integer-intercept realizer the
+combinatorial type of the ``Fraction``-margin realizer.  Each half-edge is
+walked at most once per arrangement, detection walks only line 1's zone,
+cached walks keep no reference cycle, concurrency errors name the least
+triple, realized coefficients stay short, and invariant checks survive
+``python -O``."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -22,12 +28,12 @@ import pytest
 from linearr import arrangement
 from linearr.arrangement import (
     Arrangement,
+    Face,
     at_infinity_in_subset,
     bounded_faces,
     build_arrangement,
     missed_quadrant,
     triangle_faces_oracle,
-    triangles_from_faces,
 )
 from linearr.cyclicity import detect_gonality_cycle, parse_cycle, realize_cycle
 from linearr.fuzzing import (
@@ -103,28 +109,73 @@ def test_missed_quadrant_equals_the_sample_point_form():
     assert checked > 20000
 
 
-def test_bounded_faces_walks_each_arrangement_once(monkeypatch):
-    walks = []
-    walk = arrangement._walk_faces
+class RecordingSet(set):
+    """A set that also lists every element added, repeats included."""
 
-    def counting_walk(arr):
-        walks.append(arr)
-        return walk(arr)
+    def __init__(self):
+        super().__init__()
+        self.added = []
 
-    monkeypatch.setattr(arrangement, "_walk_faces", counting_walk)
-    arr = realize_cycle(parse_cycle("(1 2 5 7 3 4 6 8)"))  # walks once to detect
-    assert len(walks) == 1
-    first = bounded_faces(arr)
-    first.clear()  # a caller's list is its own
-    again = bounded_faces(arr)
-    assert bounded_faces(arr) == again and len(again) == 7 * 6 // 2
-    assert detect_gonality_cycle(arr) == parse_cycle("(1 2 5 7 3 4 6 8)")
-    assert len(triangles_from_faces(arr)) >= 2
-    assert walks == [arr]
-    other = realize_nomenclature(parse_nomenclature(NOMENCLATURES[0]))
-    bounded_faces(other)
-    bounded_faces(other)
-    assert walks == [arr, other]
+    def add(self, item):
+        self.added.append(item)
+        super().add(item)
+
+
+def test_bounded_faces_walks_each_arrangement_once():
+    """Detection on a fresh arrangement walks only faces with an edge on line
+    1, within the zone theorem's O(n) half-edges; ``bounded_faces`` resumes
+    that walk, and no half-edge is walked twice across both."""
+    cases = [
+        (realize_cycle(parse_cycle(CYCLES[2])), parse_cycle(CYCLES[2])),
+        (realize_cycle(parse_cycle("(1 4 6 9 12 2 3 5 7 8 10 11)"), 1), None),
+        (realize_nomenclature(parse_nomenclature(NOMENCLATURES[2])), None),
+        (gen_infinity_type(30, 3)[1], None),
+    ]
+    for realized, cycle in cases:
+        arr = Arrangement(realized.lines)
+        walk = arr._face_walk
+        walk.seen = RecordingSet()
+        got = detect_gonality_cycle(arr)
+        assert got == detect_gonality_cycle(realized)
+        assert cycle is None or got == cycle
+        zone = len(walk.seen.added)
+        # the zone of one line in n lines has at most 10n face edges: 6(n-1)
+        # in the other lines (Edelsbrunner, Seidel & Sharir), plus 4 per face
+        # the line cuts in two
+        assert 0 < zone <= 10 * arr.n
+        assert walk.faces and all(1 in f.line_ids for f in walk.faces)
+
+        first = bounded_faces(arr)
+        first.clear()  # a caller's list is its own
+        again = bounded_faces(arr)
+        assert len(again) == (arr.n - 1) * (arr.n - 2) // 2
+        assert [f.edges for f in again] == faces_by_full_walk(realized)
+        walked = walk.seen.added
+        assert len(walked) == len(set(walked)) and len(walked) > zone
+        assert not walk.seen  # released once every start is walked
+        assert detect_gonality_cycle(arr) == got and bounded_faces(arr) == again
+        assert len(walk.seen.added) == len(walked)
+
+
+def test_cached_faces_and_cycle_keep_no_reference_cycle():
+    """An arrangement whose tables, faces and cycle were computed is freed
+    by reference counting alone."""
+    gc.disable()
+    try:
+        arr = realize_cycle(parse_cycle(CYCLES[1]))  # detection ran
+        bounded_faces(arr)
+        triangle_faces_oracle(arr)
+        assert arr.vertices and arr.order_rows and arr._face_walk.faces
+        ref = weakref.ref(arr)
+        del arr
+        assert ref() is None
+        fresh = Arrangement(realize_nomenclature(parse_nomenclature(NOMENCLATURES[1])).lines)
+        detect_gonality_cycle(fresh)
+        ref = weakref.ref(fresh)
+        del fresh
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -140,13 +191,21 @@ def test_bounded_faces_walks_each_arrangement_once(monkeypatch):
             [(1, 0, 0), (1, -2, 0), (1, 1, 0), (2, 1, -2), (1, -1, -4)],
             "lines 1,3,5 pass through Point(x=Fraction(0, 1), y=Fraction(0, 1))",
         ),
+        # ids 1, 3, 5 meet at (-7/2, -5), before any translation
+        (
+            [(2, -1, -2), (1, 0, 6), (3, 2, -1), (4, 1, -19), (1, -1, 1), (2, -3, 8)],
+            "lines 1,3,5 pass through Point(x=Fraction(-7, 2), y=Fraction(-5, 1))",
+        ),
     ],
 )
 def test_concurrent_triple_names_the_first_triple_in_combination_order(raw, message):
-    with pytest.raises(ArrangementError) as err:
-        build_arrangement(raw)
-    assert err.value.code == "concurrent-triple"
-    assert str(err.value) == message
+    for kernel in (arrangement._rows_and_bits_of, rows_and_bits_by_determinants):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arrangement, "_rows_and_bits_of", kernel)
+            with pytest.raises(ArrangementError) as err:
+                build_arrangement(raw)
+        assert err.value.code == "concurrent-triple"
+        assert str(err.value) == message
 
 
 def test_realize_checks_its_labels_under_optimize():
@@ -176,6 +235,121 @@ def test_realize_checks_its_labels_under_optimize():
 
 
 # The direct forms the side-bit tables replaced.
+
+
+def side_bits_by_determinants(lines, homog):
+    """The side bits from one determinant per triple i < j < k: the value D
+    of line k at V_ij is an alternating form in the three lines, so line k
+    has the sign of D at V_ij, line i has it at V_jk and line j has its
+    opposite at V_ik.  D == 0 reports the first concurrent triple in
+    combination order."""
+    if any(l1.a * l2.b <= l2.a * l1.b for l1, l2 in zip(lines, lines[1:])):
+        raise ArrangementError(
+            "internal-invariant", "line ids do not follow the direction angle"
+        )
+    n = len(lines)
+    coeffs = [None] + [(ln.a, ln.b, ln.c) for ln in lines]
+    table = [[0] * (n + 1) for _ in range(n + 1)]  # table[i][j] for i < j
+    for (i, j), (x, y, w) in homog.items():
+        row_i, row_j = table[i], table[j]
+        bit_i, bit_j = 1 << i, 1 << j
+        b_ij = 0
+        for k in range(j + 1, n + 1):
+            a, b, c = coeffs[k]
+            d = a * x + b * y - c * w
+            if d > 0:
+                b_ij |= 1 << k
+                row_j[k] |= bit_i
+            elif d < 0:
+                row_i[k] |= bit_j
+            else:
+                v = Point(Fraction(x, w), Fraction(y, w))
+                raise ArrangementError(
+                    "concurrent-triple", f"lines {i},{j},{k} pass through {v}"
+                )
+        row_i[j] |= b_ij
+    return {(i, j): table[i][j] for i, j in homog}
+
+
+def order_rows_by_popcount(n, bits):
+    """Row i ranks j by the number of lines k crossing line i before j,
+    counted in the side bits of V_ij."""
+    full = (1 << (n + 1)) - 2
+    rows = []
+    for i in range(1, n + 1):
+        low = (1 << i) - 2
+        high = full & ~(low | 1 << i)
+        row = [0] * (n - 1)
+        for j in range(1, n + 1):
+            if j != i:
+                b = bits[(i, j) if i < j else (j, i)]
+                row[((b & high) | (~b & low & ~(1 << j))).bit_count()] = j
+        assert all(row), f"two crossings share a rank on line {i}"
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def rows_and_bits_by_determinants(lines, homog):
+    bits = side_bits_by_determinants(lines, homog)
+    return order_rows_by_popcount(len(lines), bits), bits
+
+
+def faces_by_full_walk(arr):
+    """The edge lists of every bounded face, walked in one pass with a
+    position table per row."""
+    rows = (None,) + arr.order_rows
+    homog = arr._vertex_homog
+    last = arr.n - 2
+    pos = [None] + [{j: p for p, j in enumerate(row)} for row in rows[1:]]
+    seen = set()
+    faces = []
+    for start in ((i, p, s) for i in arr.ids for p in range(last + 1) for s in (1, -1)):
+        if start in seen or not 0 <= start[1] + start[2] <= last:
+            continue
+        cycle = []
+        h = start
+        while True:
+            seen.add(h)
+            cycle.append(h)
+            i, p, s = h
+            j = rows[i][p + s]
+            h = (j, pos[j][i], s if i < j else -s)
+            if h == start or h in seen or not 0 <= h[1] + h[2] <= last:
+                break
+        if h != start:
+            continue
+        edges = tuple((i, (i, rows[i][p]) if i < rows[i][p] else (rows[i][p], i))
+                      for i, p, _ in cycle)
+        pts = [homog[vk] for _, vk in edges]
+        assert all(
+            arrangement._orientation(pts[k - 1], pts[k], pts[(k + 1) % len(pts)]) > 0
+            for k in range(len(pts))
+        )
+        k = min(range(len(edges)), key=lambda t: edges[t])
+        faces.append(Face(edges[k:] + edges[:k]))
+    faces.sort(key=lambda f: (len(f), f.edges))
+    return [f.edges for f in faces]
+
+
+def large_realizations():
+    """Realized nomenclatures and cycles up to n = 80."""
+    for n in (40, 60, 80):
+        nom, arr = gen_infinity_type(n, n)
+        yield arr
+        yield realize_nomenclature(nom, 1)
+        yield gen_cyclic(n, n)[1]
+
+
+def test_rows_and_bits_equal_the_determinant_form():
+    for arr in chain(kernel_arrangements(), large_realizations()):
+        got = arrangement._rows_and_bits_of(arr.lines, arr._vertex_homog)
+        assert got == rows_and_bits_by_determinants(arr.lines, arr._vertex_homog)
+        assert got == (arr.order_rows, arr._side_bits)
+
+
+def test_face_walk_equals_the_one_pass_walk():
+    for arr in chain(kernel_arrangements(), large_realizations()):
+        assert [f.edges for f in bounded_faces(arr)] == faces_by_full_walk(arr)
 
 
 def order_rows_by_fraction_keys(arr):
