@@ -127,8 +127,7 @@ class Arrangement:
     def faces(self) -> tuple[Face, ...]:
         """The bounded faces, sorted by size then edges; read them through
         :func:`bounded_faces`."""
-        faces = self._face_walk.through(self.n)
-        return tuple(sorted(faces, key=lambda f: (len(f), f.edges)))
+        return tuple(sorted(self._face_walk.through(self.n), key=_face_order))
 
 
 def _homogeneous_vertices(lines) -> dict[VertexKey, tuple[int, int, int]]:
@@ -329,9 +328,9 @@ class Face:
         return len(self.edges)
 
 
-def bounded_faces(arr: Arrangement) -> list[Face]:
+def bounded_faces(arr: Arrangement, zone: int | None = None) -> list[Face]:
     """All bounded faces via anticlockwise half-edge traversal, sorted by
-    size then edges.
+    size then edges; with ``zone``, only those with an edge on line ``zone``.
 
     A half-edge runs along one line between two consecutive crossings.  Only
     two lines meet at each vertex of a simple arrangement, so the face on the
@@ -340,8 +339,21 @@ def bounded_faces(arr: Arrangement) -> list[Face]:
     reached a ray and belongs to an unbounded face.  The walk runs at most
     once per half-edge and arrangement (see :class:`_FaceWalk`); later calls
     return a fresh list of the same faces.
+
+    ``zone`` walks the starts of lines 1..zone only, so ``zone=1`` costs the
+    O(n) half-edges of line 1's zone (the zone theorem) against O(n^2) for
+    all faces; a later call resumes the same walk.
     """
-    return list(arr.faces)
+    if zone is None:
+        return list(arr.faces)
+    if not 0 < zone <= arr.n:
+        raise ArrangementError("bad-position", f"line {zone} outside 1..{arr.n}")
+    found = arr._face_walk.through(zone)
+    return sorted((f for f in found if zone in f.line_ids), key=_face_order)
+
+
+def _face_order(f: Face) -> tuple:
+    return (len(f), f.edges)
 
 
 def _orientation(p, q, r) -> int:

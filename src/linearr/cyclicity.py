@@ -16,7 +16,7 @@ from functools import lru_cache
 
 # bounded_faces is not used here; perfbench's tracer test looks it up in this
 # module.
-from .arrangement import Arrangement, TriangleSet, bounded_faces, build_arrangement  # noqa: F401
+from .arrangement import Arrangement, TriangleSet, bounded_faces, build_arrangement
 from .geometry import ArrangementError, direction_ladder
 
 MAX_ENUM_N = 24
@@ -195,25 +195,22 @@ def detect_gonality_cycle(arr: Arrangement) -> GonalityCycle | None:
     """Find the face bounded by all n lines and read its anticlockwise
     boundary order from line 1; None when no such face exists.
 
-    Such a face has an edge on line 1, so only line 1's zone is walked: its
-    bounded faces, O(n) half-edges by the zone theorem, against O(n^2) for
-    all faces.  A later :func:`bounded_faces` resumes the same walk.  Of
-    several n-gons the one with the least edges is taken, the first in
-    :func:`bounded_faces` order.
+    Such a face has an edge on line 1, so only the faces of line 1's zone
+    are walked (``bounded_faces(arr, zone=1)``); of several n-gons the first
+    in :func:`bounded_faces` order is taken.
     """
-    n = arr.n
-    ngons = [f for f in arr._face_walk.through(1) if len(f) == n]
-    if not ngons:
-        return None
-    ids = min(ngons, key=lambda f: f.edges).line_ids
-    k = ids.index(1)
-    seq = ids[k:] + ids[:k]
-    c = validate_cycle(seq)
-    if c is None:
-        raise ArrangementError(
-            "internal-invariant", f"n-gon boundary {seq} fails the two-run shape"
-        )
-    return c
+    for f in bounded_faces(arr, zone=1):
+        if len(f) == arr.n:
+            ids = f.line_ids
+            k = ids.index(1)
+            seq = ids[k:] + ids[:k]
+            c = validate_cycle(seq)
+            if c is None:
+                raise ArrangementError(
+                    "internal-invariant", f"n-gon boundary {seq} fails the two-run shape"
+                )
+            return c
+    return None
 
 
 _INDEXED_N = 14  # keep the reverse index in memory only while it stays small

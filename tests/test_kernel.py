@@ -157,6 +157,23 @@ def test_bounded_faces_walks_each_arrangement_once():
         assert len(walk.seen.added) == len(walked)
 
 
+def test_zone_faces_are_the_faces_on_that_line():
+    """``bounded_faces(arr, zone=k)`` is the sorted list of faces with an edge
+    on line k, whether asked before, between or after the full walk."""
+    realized = realize_cycle(parse_cycle("(1 4 6 9 12 2 3 5 7 8 10 11)"), 1)
+    everything = bounded_faces(realized)
+    for order in ([1, 3, 2, 12, 7], [12, 1], [5, 5, 1]):
+        arr = Arrangement(realized.lines)
+        for k in order:
+            assert bounded_faces(arr, zone=k) == [f for f in everything if k in f.line_ids]
+        assert bounded_faces(arr) == everything
+        assert all(bounded_faces(arr, zone=k) for k in arr.ids)
+    for bad in (0, 13, -1):
+        with pytest.raises(ArrangementError) as err:
+            bounded_faces(realized, zone=bad)
+        assert err.value.code == "bad-position"
+
+
 def test_cached_faces_and_cycle_keep_no_reference_cycle():
     """An arrangement whose tables, faces and cycle were computed is freed
     by reference counting alone."""
