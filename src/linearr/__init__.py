@@ -8,7 +8,6 @@ from .arrangement import (
     corner_points,
     is_isomorphic_trivial,
     is_line_at_infinity_geom,
-    line_orders,
     triangle_equivalence_classes,
     triangle_faces_oracle,
     triangles_from_faces,

@@ -228,23 +228,30 @@ def build_arrangement(raw) -> Arrangement:
     # the input lines, which the concurrency check computes anyway, serve the
     # translated ones.
     homog = _homogeneous_vertices(lines)
-    rows_and_bits = _rows_and_bits_of(lines, homog)
+    rows, bits = _rows_and_bits_of(lines, homog)
 
     # ty lifts the lowest vertex to y = 1, then tx moves the leftmost vertex
     # or x intercept to x = 1; each is needed only when that bound is <= 0.
-    min_vy = Fraction(*_least((y, w) for _, y, w in homog.values()))
+    # Along a non-horizontal line y and x are both monotone in row order, so
+    # the extremes sit at the two ends of each row.
+    ends = [
+        homog[_vkey(i, j)] for i, row in enumerate(rows, 1) for j in (row[0], row[-1])
+    ]
+    min_vy = Fraction(*_least((y, w) for _, y, w in ends))
     ty = 1 - min_vy if min_vy <= 0 else 0
     p, q = ty.numerator, ty.denominator
     min_x = Fraction(*_least(chain(
-        ((x, w) for x, _, w in homog.values()),
+        ((x, w) for x, _, w in ends),
         ((ln.c * q + ln.b * p, ln.a * q) for ln in lines),
     )))
     tx = 1 - min_x if min_x <= 0 else 0
     if tx or ty:
-        lines = [ln.translated(tx, ty) for ln in lines]
-
-    arr = Arrangement(tuple(lines))
-    arr._rows_and_bits = rows_and_bits
+        # the vertices move too; the returned arrangement computes its own
+        arr = Arrangement(tuple(ln.translated(tx, ty) for ln in lines))
+    else:
+        arr = Arrangement(tuple(lines))
+        arr._vertex_homog = homog
+    arr._rows_and_bits = rows, bits
     if not all(x > 0 and y > 0 for x, y, _ in arr._vertex_homog.values()):
         raise ArrangementError(
             "internal-invariant", "a vertex lies outside the open first quadrant"
@@ -265,12 +272,6 @@ def _least(pairs) -> tuple[int, int]:
     return best_num, best_den
 
 
-def line_orders(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
-    """The intersection-order table: row i lists the other ids in the order
-    their crossings appear along line i's conventional orientation."""
-    return arr.order_rows
-
-
 def corner_points(arr: Arrangement) -> set[VertexKey]:
     """Pairs {i, j} whose vertex is the extreme crossing on both its lines."""
     rows = arr.order_rows
@@ -289,18 +290,28 @@ def triangle_faces_oracle(arr: Arrangement) -> TriangleSet:
 
     With the side bits that reads: the three vertices' bits agree everywhere
     except at i, j and k themselves.
+
+    Only pairs adjacent in a row are candidates.  Line m changes side along
+    line i only where it crosses it, so for i < j, k the bits of V_ij and V_ik
+    differ, outside {i, j, k}, exactly at the lines crossing row i strictly
+    between j and k; the definition therefore holds only for j and k adjacent
+    in row i.  Each row i gives its adjacent pairs with both ids above i,
+    at most n(n - 2) candidates in all against C(n, 3) triples, and each is
+    confirmed by the definition test.
     """
     if arr.n < 3:
         raise ArrangementError("too-few-lines", "triangles need at least 3 lines")
     bits = arr._side_bits
     full = (1 << (arr.n + 1)) - 2
     out = set()
-    for i, j in combinations(arr.ids, 2):
-        b_ij = bits[(i, j)]
-        others = full & ~(1 << i | 1 << j)
-        for k in range(j + 1, arr.n + 1):
-            b_jk, b_ik = bits[(j, k)], bits[(i, k)]
-            if not ((b_ij ^ b_jk) | (b_ij ^ b_ik)) & others & ~(1 << k):
+    for i, row in enumerate(arr.order_rows, 1):
+        for j, k in zip(row, row[1:]):
+            if j < i or k < i:
+                continue
+            if k < j:
+                j, k = k, j
+            b_ij, b_jk, b_ik = bits[(i, j)], bits[(j, k)], bits[(i, k)]
+            if not ((b_ij ^ b_jk) | (b_ij ^ b_ik)) & full & ~(1 << i | 1 << j | 1 << k):
                 out.add((i, j, k))
     return out
 
@@ -473,7 +484,12 @@ def is_isomorphic_trivial_global(a1: Arrangement, a2: Arrangement) -> bool:
 
 
 def triangle_equivalence_classes(triangles: TriangleSet) -> list[set]:
-    """Partition under the transitive closure of sharing exactly two ids."""
+    """Partition under the transitive closure of sharing exactly two ids.
+
+    Two distinct triangles share exactly two ids iff they share a pair, so
+    each triangle is joined to the first triangle seen with each of its three
+    pairs.
+    """
     items = sorted(triangles)
     parent = {t: t for t in items}
 
@@ -483,11 +499,15 @@ def triangle_equivalence_classes(triangles: TriangleSet) -> list[set]:
             t = parent[t]
         return t
 
-    for t1, t2 in combinations(items, 2):
-        if len(set(t1) & set(t2)) == 2:
-            r1, r2 = find(t1), find(t2)
-            if r1 != r2:
-                parent[r2] = r1
+    first: dict[tuple[int, int], Triangle] = {}
+    for t in items:
+        i, j, k = sorted(t)
+        for pair in ((i, j), (i, k), (j, k)):
+            other = first.setdefault(pair, t)
+            if other is not t:
+                r1, r2 = find(other), find(t)
+                if r1 != r2:
+                    parent[r2] = r1
 
     groups: dict[Triangle, set] = {}
     for t in items:

@@ -12,7 +12,6 @@ import sys
 
 from .arrangement import (
     corner_points,
-    line_orders,
     triangle_equivalence_classes,
     triangle_faces_oracle,
 )
@@ -44,7 +43,7 @@ def _cmd_analyze(args) -> int:
     print(f"n={arr.n}")
     for i, ln in enumerate(arr.lines, 1):
         print(f"line {i}: {ln.a} {ln.b} {ln.c}")
-    for i, row in enumerate(line_orders(arr), 1):
+    for i, row in enumerate(arr.order_rows, 1):
         print(f"order {i}: " + " ".join(str(j) for j in row))
     corners = " ".join("{%d,%d}" % p for p in sorted(corner_points(arr)))
     print(f"corner points: {corners or '-'}")

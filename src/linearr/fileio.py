@@ -35,17 +35,28 @@ def format_arrangement(arr: Arrangement) -> str:
     return "\n".join(out) + "\n"
 
 
+def _coefficient(token: str) -> int | Fraction | None:
+    """A coefficient token's value, an ``int`` for an integer token and a
+    :class:`Fraction` for "p/q", or None as for :func:`parse_rational`."""
+    m = _COEFFICIENT.fullmatch(token)
+    if m is None:
+        return None
+    num, den = m.groups()
+    if den is None:
+        return int(num)
+    den = int(den)
+    return Fraction(int(num), den) if den else None
+
+
 def parse_rational(token: str) -> Fraction | None:
     """The exact value of a coefficient token, or None when the token breaks
     the rule above or has a zero denominator."""
-    m = _COEFFICIENT.fullmatch(token)
-    if m is None or (m.group(2) is not None and int(m.group(2)) == 0):
-        return None
-    return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    q = _coefficient(token)
+    return None if q is None else Fraction(q)
 
 
-def _rational(token: str) -> Fraction:
-    q = parse_rational(token)
+def _rational(token: str) -> int | Fraction:
+    q = _coefficient(token)
     if q is None:
         raise ArrangementError("bad-file", f"bad rational {token[:40]!r}")
     return q
@@ -73,6 +84,7 @@ def parse_arrangement(text: str) -> Arrangement:
         ident = int(parts[0]) if _UNSIGNED.fullmatch(parts[0]) else None
         if ident is None or not 1 <= ident <= n or ident in by_id:
             raise ArrangementError("bad-file", f"bad or duplicate id in {row!r}")
+        # integer tokens stay int, so line() reduces them by one gcd
         by_id[ident] = line(*(_rational(p) for p in parts[1:]))
     lines = [by_id[i] for i in range(1, n + 1)]
     for i in range(n - 1):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from .arrangement import Arrangement, at_infinity_in_subset, build_arrangement
 from .geometry import (
@@ -118,26 +117,47 @@ def canonical_infinity_permutation(arr: Arrangement):
     """Greedy insertion order: repeatedly strip the at-infinity line with the
     largest id.  Returns the permutation as an insertion order (first created
     line first) or None when some stage of 3+ lines has no at-infinity line.
+
+    Read off the row ends.  Line m changes side along line i only at V_im, so
+    the vertices on line i other than V_im lie on one side of m iff m is an
+    end of row i, restricted to the remaining lines.  Any two lines share a
+    vertex, so with three or more lines remaining those sides all agree when
+    m is an end of every other remaining row: m is at infinity exactly then.
+    ``ends[m]`` counts the remaining rows with m at an end.  A stripped line
+    leaves every remaining row at one of its ends, so the stripped entries of
+    each row are a prefix and a suffix of it, and the row keeps one pointer
+    to its first and one to its last remaining entry; stripping a line moves
+    one pointer of each remaining row by one step.  A stage costs O(n).
     """
-    bits = arr._side_bits
+    n = arr.n
+    rows = (None,) + arr.order_rows
+    first = [0] * (n + 1)
+    last = [n - 2] * (n + 1)
+    ends = [0] * (n + 1)
+    for row in rows[1:]:
+        ends[row[0]] += 1
+        ends[row[-1]] += 1
     remaining = list(arr.ids)
     suffix = []
     while len(remaining) > 2:
-        # Bit m of plus (minus) is set iff line m has side +1 (-1) at some
-        # vertex of the remaining lines other than its own: exactly the lines
-        # with both set are not at infinity.
-        plus = minus = 0
-        for i, j in combinations(remaining, 2):
-            b = bits[(i, j)]
-            plus |= b
-            minus |= ~(b | 1 << i | 1 << j)
-        mixed = plus & minus
-        cands = [m for m in remaining if not mixed >> m & 1]
-        if not cands:
+        pick = max(
+            (m for m in remaining if ends[m] == len(remaining) - 1), default=None
+        )
+        if pick is None:
             return None
-        pick = max(cands)
         suffix.append(pick)
         remaining.remove(pick)
+        row = rows[pick]
+        ends[row[first[pick]]] -= 1
+        ends[row[last[pick]]] -= 1
+        for i in remaining:
+            row = rows[i]
+            if row[first[i]] == pick:
+                first[i] += 1
+                ends[row[first[i]]] += 1
+            else:
+                last[i] -= 1
+                ends[row[last[i]]] += 1
     suffix.extend(sorted(remaining, reverse=True))
     return tuple(reversed(suffix))
 

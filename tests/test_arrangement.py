@@ -9,7 +9,6 @@ from linearr.arrangement import (
     corner_points_quadrant,
     is_isomorphic_trivial,
     is_line_at_infinity_geom,
-    line_orders,
     triangle_equivalence_classes,
     triangle_faces_oracle,
     triangles_from_faces,
@@ -75,19 +74,19 @@ def test_build_needs_two_lines():
 
 
 def test_line_orders_three_line(three):
-    assert line_orders(three) == ((2, 3), (1, 3), (1, 2))
+    assert three.order_rows == ((2, 3), (1, 3), (1, 2))
 
 
 def test_line_orders_two_line():
     arr = build_arrangement([(1, -1, 0), (1, 0, 1)])
-    assert line_orders(arr) == ((2,), (1,))
+    assert arr.order_rows == ((2,), (1,))
 
 
 def test_line_orders_stable_under_translation(three):
     shifted = build_arrangement(
         [ln.translated(Fraction(9), Fraction(7)) for ln in three.lines]
     )
-    assert line_orders(shifted) == line_orders(three)
+    assert shifted.order_rows == three.order_rows
     assert corner_points(shifted) == corner_points(three)
     assert triangle_faces_oracle(shifted) == triangle_faces_oracle(three)
 

@@ -1,13 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
-from linearr.arrangement import build_arrangement, line_orders
+from linearr.arrangement import build_arrangement
 from linearr.fileio import (
     format_arrangement,
     load_arrangement,
     parse_arrangement,
+    parse_rational,
     save_arrangement,
 )
-from linearr.geometry import ArrangementError
+from linearr.geometry import ArrangementError, line
 
 THREE = [(1, -1, 0), (1, 0, 1), (1, 1, 3)]
 
@@ -54,8 +57,34 @@ def test_parse_normalizes_nonconventional_input():
         f"{i} {ln.a} {ln.b} {ln.c}" for i, ln in enumerate(shifted, 1)
     )
     arr = parse_arrangement(text)
-    assert line_orders(arr) == line_orders(base)
+    assert arr.order_rows == base.order_rows
     assert arr.lines == base.lines
+
+
+def test_integer_and_fraction_tokens_give_the_same_lines():
+    """Integer tokens reach ``line`` as ``int``; the lines equal those of the
+    same values written as fractions, and a zero ``a`` is still refused with
+    the ``Fraction`` path's code and text."""
+    base = build_arrangement([(1, -1, 0), (1, 0, 1), (1, 1, 3), (2, 5, 9)])
+    records = [
+        (k * ln.a, k * ln.b, k * ln.c) for k, ln in zip((2, -3, 1, 6), base.lines)
+    ]
+    whole = "\n".join(f"{i} {a} {b} {c}" for i, (a, b, c) in enumerate(records, 1))
+    split = "\n".join(
+        f"{i} {2 * a}/2 {3 * b}/3 {c}/1" for i, (a, b, c) in enumerate(records, 1)
+    )
+    arr = parse_arrangement(f"arr v1 n=4\n{whole}\n")
+    assert arr.lines == parse_arrangement(f"arr v1 n=4\n{split}\n").lines
+    assert arr.lines == build_arrangement(
+        tuple(map(Fraction, r)) for r in records
+    ).lines
+    assert parse_rational("-12") == -12 and type(parse_rational("-12")) is Fraction
+    for coeffs in ((0, 2, 3), (0, 0, 1), (0, -1, 0)):
+        with pytest.raises(ArrangementError) as want:
+            line(*map(Fraction, coeffs))
+        with pytest.raises(ArrangementError) as got:
+            parse_arrangement("arr v1 n=2\n1 1 -1 0\n2 %d %d %d\n" % coeffs)
+        assert (got.value.code, str(got.value)) == (want.value.code, str(want.value))
 
 
 def test_id_order_mismatch_suggests_relabeling():

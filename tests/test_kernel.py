@@ -5,10 +5,12 @@ masks) equals the determinant-per-triple side bits with popcount-ranked
 rows it replaced, and the tables read off the side bits (side signs,
 crossing orders, the triangle oracle, Theorem B's triangle set, the greedy
 infinity permutation, the derived nomenclature and the face walk) equal the
-direct forms they replaced, which are kept here as references; so do
-``missed_quadrant`` its sample-point form, the opposite-orders fuzz check
+direct forms they replaced, which are kept here as references; so do the
+oracle, permutation and triangle classes read off the rows their cubic
+forms, ``missed_quadrant`` its sample-point form, the opposite-orders fuzz check
 its crossing-parameter form and the integer-intercept realizer the
-combinatorial type of the ``Fraction``-margin realizer.  Each half-edge is
+combinatorial type of the ``Fraction``-margin realizer.  A conventional
+input keeps the vertex table its build computed.  Each half-edge is
 walked at most once per arrangement, detection walks only line 1's zone,
 cached walks keep no reference cycle, concurrency errors name the least
 triple, realized coefficients stay short, and invariant checks survive
@@ -33,6 +35,7 @@ from linearr.arrangement import (
     bounded_faces,
     build_arrangement,
     missed_quadrant,
+    triangle_equivalence_classes,
     triangle_faces_oracle,
 )
 from linearr.cyclicity import detect_gonality_cycle, parse_cycle, realize_cycle
@@ -225,6 +228,37 @@ def test_concurrent_triple_names_the_first_triple_in_combination_order(raw, mess
         assert str(err.value) == message
 
 
+def test_build_keeps_the_vertex_table_of_a_conventional_input(monkeypatch):
+    """A conventional input keeps the one vertex table the build computes;
+    a translated input gets the table of its translated lines, and its
+    lowest vertex and leftmost vertex or intercept land exactly on 1."""
+    cases = list(chain(kernel_arrangements(), large_realizations()))
+    homogeneous = arrangement._homogeneous_vertices
+    tables = []
+
+    def recording(lines):
+        tables.append(homogeneous(lines))
+        return tables[-1]
+
+    monkeypatch.setattr(arrangement, "_homogeneous_vertices", recording)
+    for realized in cases:
+        tables.clear()
+        arr = build_arrangement(realized.lines)
+        assert arr.lines == realized.lines
+        assert len(tables) == 1 and arr._vertex_homog is tables[0]
+
+        tables.clear()
+        moved = build_arrangement(ln.translated(-1000, -1000) for ln in realized.lines)
+        assert moved.order_rows == realized.order_rows
+        assert moved._vertex_homog is not tables[0]
+        assert moved._vertex_homog == homogeneous(moved.lines)
+        assert min(Fraction(y, w) for _, y, w in moved._vertex_homog.values()) == 1
+        assert min(chain(
+            (Fraction(x, w) for x, _, w in moved._vertex_homog.values()),
+            (Fraction(ln.c, ln.a) for ln in moved.lines),
+        )) == 1
+
+
 def test_realize_checks_its_labels_under_optimize():
     """With the direction ladder reversed the ids come out mirrored; the check
     that catches it must not vanish under ``python -O``."""
@@ -349,12 +383,14 @@ def faces_by_full_walk(arr):
 
 
 def large_realizations():
-    """Realized nomenclatures and cycles up to n = 80."""
+    """Realized nomenclatures and cycles up to n = 80, in both ladder variants."""
     for n in (40, 60, 80):
         nom, arr = gen_infinity_type(n, n)
         yield arr
         yield realize_nomenclature(nom, 1)
-        yield gen_cyclic(n, n)[1]
+        cycle, arr = gen_cyclic(n, n)
+        yield arr
+        yield realize_cycle(cycle, 1)
 
 
 def test_rows_and_bits_equal_the_determinant_form():
@@ -429,6 +465,91 @@ def derived_signs_by_side_at(arr, perm):
             return l
         signs.append(-seen.pop())
     return tuple(signs[1:])
+
+
+def triangle_faces_by_triples(arr):
+    """The triangle oracle over all C(n, 3) triples, one definition test on
+    the side bits each."""
+    bits = arr._side_bits
+    full = (1 << (arr.n + 1)) - 2
+    out = set()
+    for i, j in combinations(arr.ids, 2):
+        b_ij = bits[(i, j)]
+        others = full & ~(1 << i | 1 << j)
+        for k in range(j + 1, arr.n + 1):
+            b_jk, b_ik = bits[(j, k)], bits[(i, k)]
+            if not ((b_ij ^ b_jk) | (b_ij ^ b_ik)) & others & ~(1 << k):
+                out.add((i, j, k))
+    return out
+
+
+def canonical_permutation_by_bit_folds(arr):
+    """The greedy permutation with each stage folding the side bits of every
+    vertex of the remaining lines: bit m of plus (minus) is set iff line m has
+    side +1 (-1) at some such vertex off m.  Also returns the number of
+    lines stripped before a stage found no line at infinity."""
+    bits = arr._side_bits
+    remaining = list(arr.ids)
+    suffix = []
+    while len(remaining) > 2:
+        plus = minus = 0
+        for i, j in combinations(remaining, 2):
+            b = bits[(i, j)]
+            plus |= b
+            minus |= ~(b | 1 << i | 1 << j)
+        mixed = plus & minus
+        cands = [m for m in remaining if not mixed >> m & 1]
+        if not cands:
+            return None, len(suffix)
+        pick = max(cands)
+        suffix.append(pick)
+        remaining.remove(pick)
+    suffix.extend(sorted(remaining, reverse=True))
+    return tuple(reversed(suffix)), len(suffix)
+
+
+def triangle_classes_by_pairs(triangles):
+    """The equivalence classes by testing every pair of triangles."""
+    items = sorted(triangles)
+    parent = {t: t for t in items}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for t1, t2 in combinations(items, 2):
+        if len(set(t1) & set(t2)) == 2:
+            r1, r2 = find(t1), find(t2)
+            if r1 != r2:
+                parent[r2] = r1
+    groups = {}
+    for t in items:
+        groups.setdefault(find(t), set()).add(t)
+    return sorted(groups.values(), key=min)
+
+
+def row_read_cases():
+    """The kernel set, the large realizations and 400 more generic seeds."""
+    yield from kernel_arrangements()
+    yield from large_realizations()
+    for seed in range(200, 600):
+        yield gen_generic(3 + seed % 10, seed)
+
+
+def test_row_read_tables_equal_the_cubic_forms():
+    """The oracle from row-adjacent pairs, the permutation from row ends and
+    the classes from shared pairs equal the forms they replaced, including
+    where the greedy rule strips some lines before it gets stuck."""
+    stuck_midway = 0
+    for arr in row_read_cases():
+        oracle = triangle_faces_oracle(arr)
+        assert oracle == triangle_faces_by_triples(arr)
+        perm, stripped = canonical_permutation_by_bit_folds(arr)
+        assert canonical_infinity_permutation(arr) == perm
+        stuck_midway += perm is None and stripped > 0
+        assert triangle_equivalence_classes(oracle) == triangle_classes_by_pairs(oracle)
+    assert stuck_midway > 20
 
 
 def all_nomenclatures(n):

@@ -1,8 +1,9 @@
 """Property test of the rows-first kernel: on random sets of lines with
 small coefficients, many of them through a few shared points, the build
 either fails exactly as the determinant-per-triple kernel makes it fail, or
-gives the same rows, side bits, triangle oracle, face edge lists and
-gonality cycle."""
+gives the same rows, side bits, face edge lists and gonality cycle, and the
+triangle oracle, canonical infinity permutation and triangle classes read
+off the rows equal their cubic reference forms."""
 
 import pytest
 
@@ -11,11 +12,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from linearr import arrangement
-from linearr.arrangement import Arrangement, bounded_faces, build_arrangement, triangle_faces_oracle
+from linearr.arrangement import (
+    Arrangement,
+    bounded_faces,
+    build_arrangement,
+    triangle_equivalence_classes,
+    triangle_faces_oracle,
+)
 from linearr.cyclicity import detect_gonality_cycle, validate_cycle
 from linearr.geometry import ArrangementError
+from linearr.nomenclature import canonical_infinity_permutation
 
-from test_kernel import faces_by_full_walk, rows_and_bits_by_determinants
+from test_kernel import (
+    canonical_permutation_by_bit_folds,
+    faces_by_full_walk,
+    rows_and_bits_by_determinants,
+    triangle_classes_by_pairs,
+    triangle_faces_by_triples,
+)
 
 COEFF = st.integers(-6, 6)
 # wider directions, with a == 0 (a horizontal line) in about one line of 75,
@@ -52,7 +66,10 @@ def reference(raw):
         if ngon is not None:
             ids = tuple(i for i, _ in ngon)
             cycle = validate_cycle(ids[ids.index(1):] + ids[: ids.index(1)])
-        return arr.order_rows, arr._side_bits, triangle_faces_oracle(arr), faces, cycle
+        oracle = triangle_faces_by_triples(arr)
+        perm = canonical_permutation_by_bit_folds(arr)[0]
+        classes = triangle_classes_by_pairs(oracle)
+        return arr.order_rows, arr._side_bits, oracle, perm, classes, faces, cycle
 
 
 def rows_first(raw):
@@ -63,7 +80,10 @@ def rows_first(raw):
     fresh = Arrangement(arr.lines)
     cycle = detect_gonality_cycle(fresh)  # line 1's zone first, then the rest
     faces = [f.edges for f in bounded_faces(fresh)]
-    return arr.order_rows, arr._side_bits, triangle_faces_oracle(arr), faces, cycle
+    oracle = triangle_faces_oracle(arr)
+    perm = canonical_infinity_permutation(arr)
+    classes = triangle_equivalence_classes(oracle)
+    return arr.order_rows, arr._side_bits, oracle, perm, classes, faces, cycle
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
