@@ -40,7 +40,6 @@ from .nomenclature import (
     Nomenclature,
     canonical_infinity_permutation,
     derive_nomenclature,
-    find_infinity_permutation,
     format_nomenclature,
     parse_nomenclature,
     realize_nomenclature,

@@ -474,15 +474,6 @@ def is_isomorphic_trivial(a1: Arrangement, a2: Arrangement) -> bool:
     return True
 
 
-def is_isomorphic_trivial_global(a1: Arrangement, a2: Arrangement) -> bool:
-    """Stricter reading: one orientation choice shared by all lines."""
-    if a1.n != a2.n:
-        return False
-    return all(r1 == r2 for r1, r2 in zip(a1.order_rows, a2.order_rows)) or all(
-        r1 == tuple(reversed(r2)) for r1, r2 in zip(a1.order_rows, a2.order_rows)
-    )
-
-
 def triangle_equivalence_classes(triangles: TriangleSet) -> list[set]:
     """Partition under the transitive closure of sharing exactly two ids.
 
@@ -586,11 +577,3 @@ def corner_points_quadrant(arr: Arrangement) -> set[VertexKey]:
         if len(quads) <= 1:
             out.add((i, j))
     return out
-
-
-def vertex_quadrant_empty(arr: Arrangement, i: int, j: int) -> bool:
-    """Is some quadrant around the vertex of i and j free of all other vertices?"""
-    occupied = set()
-    for p, q in combinations([x for x in arr.ids if x not in (i, j)], 2):
-        occupied.add((arr.side_at(i, p, q), arr.side_at(j, p, q)))
-    return len(occupied) < 4

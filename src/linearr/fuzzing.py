@@ -17,28 +17,31 @@ and could run concurrently; the report only depends on the configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import combinations
+from typing import Callable
 
 from . import fileio
 from .arrangement import (
     Arrangement,
+    TriangleSet,
+    at_infinity_in_subset,
     build_arrangement,
     bounded_faces,
     corner_points,
     corner_points_quadrant,
     is_isomorphic_trivial,
-    is_isomorphic_trivial_global,
     is_line_at_infinity_geom,
     triangle_equivalence_classes,
     triangle_faces_oracle,
     triangles_from_faces,
-    vertex_quadrant_empty,
 )
 from .cyclicity import (
     GonalityCycle,
     _unrank_cycle,
     cycle_triangles,
     detect_gonality_cycle,
-    format_cycle,
+    parse_cycle,
     realize_cycle,
     validate_cycle,
 )
@@ -49,8 +52,8 @@ from .nomenclature import (
     Nomenclature,
     canonical_infinity_permutation,
     derive_nomenclature,
-    find_infinity_permutation,
     format_nomenclature,
+    parse_nomenclature,
     realize_nomenclature,
 )
 
@@ -176,7 +179,8 @@ class Counterexample:
     seed: int
     detail: str
     arrangement_text: str
-    witness: str  # nomenclature or cycle text, "" for plain arrangements
+    witness: str  # nomenclature or cycle text, "" when the case has no encoding
+    family: str
 
     def lines(self) -> list[str]:
         out = [
@@ -252,6 +256,7 @@ class FuzzReport:
             if self.counterexample is None
             else {
                 "check": self.counterexample.check,
+                "family": self.counterexample.family,
                 "trial": self.counterexample.trial,
                 "n": self.counterexample.n,
                 "seed": self.counterexample.seed,
@@ -260,6 +265,52 @@ class FuzzReport:
                 "arrangement": self.counterexample.arrangement_text,
             },
         }
+
+
+# Alternate characterizations that exist only as fuzz oracles.
+
+
+def find_infinity_permutation(arr: Arrangement):
+    """Any infinity permutation found by backtracking over all at-infinity
+    choices (largest ids first), or None if the arrangement is not infinity
+    type.  Exists to cross-check the greedy rule, which is believed to
+    suffice whenever any insertion order exists."""
+    memo: dict[frozenset, tuple | None] = {}
+
+    def solve(fs: frozenset):
+        if len(fs) <= 2:
+            return tuple(sorted(fs))
+        if fs in memo:
+            return memo[fs]
+        res = None
+        for m in sorted(fs, reverse=True):
+            if at_infinity_in_subset(arr, m, fs):
+                sub = solve(fs - {m})
+                if sub is not None:
+                    res = sub + (m,)
+                    break
+        memo[fs] = res
+        return res
+
+    return solve(frozenset(arr.ids))
+
+
+def is_isomorphic_trivial_global(a1: Arrangement, a2: Arrangement) -> bool:
+    """Stricter reading of :func:`is_isomorphic_trivial`: one orientation
+    choice shared by all lines."""
+    if a1.n != a2.n:
+        return False
+    return all(r1 == r2 for r1, r2 in zip(a1.order_rows, a2.order_rows)) or all(
+        r1 == tuple(reversed(r2)) for r1, r2 in zip(a1.order_rows, a2.order_rows)
+    )
+
+
+def vertex_quadrant_empty(arr: Arrangement, i: int, j: int) -> bool:
+    """Is some quadrant around the vertex of i and j free of all other vertices?"""
+    occupied = set()
+    for p, q in combinations([x for x in arr.ids if x not in (i, j)], 2):
+        occupied.add((arr.side_at(i, p, q), arr.side_at(j, p, q)))
+    return len(occupied) < 4
 
 
 def check_corner_quadrants(arr: Arrangement) -> bool:
@@ -329,311 +380,237 @@ def check_face_census(arr: Arrangement) -> bool:
     return len(bounded_faces(arr)) == (arr.n - 1) * (arr.n - 2) // 2
 
 
-def _arr_text(arr: Arrangement) -> str:
-    return fileio.format_arrangement(arr)
+class Case:
+    """An arrangement and its encoding: the nomenclature or cycle it
+    realizes, the nomenclature derived from a generic sample, or None.
+
+    The oracle and each line's geometric at-infinity status are computed at
+    most once per case; the faces are already cached on the arrangement.
+    """
+
+    def __init__(self, arr: Arrangement, encoding: Nomenclature | GonalityCycle | None):
+        self.arr = arr
+        self.encoding = encoding
+        self._at_infinity: dict[int, bool] = {}
+
+    @cached_property
+    def oracle(self) -> TriangleSet:
+        return triangle_faces_oracle(self.arr)
+
+    def at_infinity(self, label: int) -> bool:
+        status = self._at_infinity.get(label)
+        if status is None:
+            status = self._at_infinity[label] = is_line_at_infinity_geom(self.arr, label)
+        return status
 
 
-def _minimize_nomenclature(nom: Nomenclature, fails) -> Nomenclature:
-    """Greedy one-label-at-a-time deletion while the failure persists."""
-    current = nom
-    improved = True
-    while improved and current.n > 3:
-        improved = False
-        for drop in sorted(current.labels, reverse=True):
-            labels = [x - (x > drop) for x in current.labels if x != drop]
-            signs = [s for x, s in zip(current.labels, current.signs) if x != drop]
+def _infinity_mismatch(case: Case) -> int:
+    """The first position whose symbolic at-infinity status differs from
+    the geometric one, or 0."""
+    nom = case.encoding
+    for t in range(1, nom.n + 1):
+        if is_line_at_infinity_symbolic(nom, t) != case.at_infinity(nom.label_at(t)):
+            return t
+    return 0
+
+
+def _duality_mismatch(case: Case) -> int:
+    """The first position whose line is at infinity in exactly one of the
+    arrangement and the realization of the negated nomenclature, or 0."""
+    nom = case.encoding
+    negated = realize_nomenclature(nom.negated())
+    for t in range(1, nom.n + 1):
+        label = nom.label_at(t)
+        if case.at_infinity(label) != is_line_at_infinity_geom(negated, label):
+            return t
+    return 0
+
+
+@dataclass(frozen=True)
+class Check:
+    """One differential check: ``holds(case)`` is its verdict and
+    ``detail(case)`` explains a failure.  A check that reads the encoding is
+    skipped on a case without one."""
+
+    name: str
+    families: tuple[str, ...]
+    holds: Callable[[Case], bool]
+    detail: Callable[[Case], str]
+    reads_encoding: bool = False
+
+
+# Table order is the order a trial runs its checks, so of several checks
+# failing in one trial the first listed keeps the counterexample.  The
+# entries call the library through this module's globals, where the
+# benchmark's tracer rebinds them.
+_INF, _CYC, _NOM = ("infinity",), ("cyclic",), ("infinity", "generic")
+
+CHECKS = {check.name: check for check in (
+    Check("derive_realize_roundtrip", _INF,
+          lambda c: derive_nomenclature(c.arr, c.encoding.labels) == c.encoding,
+          lambda c: "derived "
+          + format_nomenclature(derive_nomenclature(c.arr, c.encoding.labels)),
+          reads_encoding=True),
+    Check("sign_rule_vs_oracle", _NOM,
+          lambda c: nomenclature_triangles(c.encoding) == c.oracle,
+          lambda c: f"signs {sorted(nomenclature_triangles(c.encoding))} vs oracle "
+          f"{sorted(c.oracle)}",
+          reads_encoding=True),
+    Check("cycle_rule_vs_oracle", _CYC,
+          lambda c: cycle_triangles(c.encoding) == c.oracle,
+          lambda c: f"listed {sorted(cycle_triangles(c.encoding))} vs oracle "
+          f"{sorted(c.oracle)}",
+          reads_encoding=True),
+    Check("detect_realize_roundtrip", _CYC,
+          lambda c: detect_gonality_cycle(c.arr) == c.encoding,
+          lambda c: "detected a different cycle", reads_encoding=True),
+    Check("class_count_at_most_2", _CYC,
+          lambda c: len(triangle_equivalence_classes(c.oracle)) <= 2,
+          lambda c: f"{len(triangle_equivalence_classes(c.oracle))} classes"),
+    Check("ngon_face_structure", _CYC,
+          lambda c: check_ngon_face_structure(c.arr, c.encoding),
+          lambda c: "face other than n-gon/quad/adjacent triangle"),
+    Check("juxtaposed_sides", _CYC,
+          lambda c: check_juxtaposed_sides(c.encoding, c.oracle),
+          lambda c: "boundary triple criterion disagrees with oracle", reads_encoding=True),
+    Check("faces_vs_oracle", FAMILIES,
+          lambda c: triangles_from_faces(c.arr) == c.oracle,
+          lambda c: "face walk and side oracle disagree"),
+    Check("face_census", FAMILIES,
+          lambda c: check_face_census(c.arr), lambda c: "bounded face count off"),
+    Check("infinity_line_sym_vs_geom", _NOM,
+          lambda c: not _infinity_mismatch(c),
+          lambda c: f"disagreement at position {_infinity_mismatch(c)}", reads_encoding=True),
+    Check("negation_duality_geom", _INF,
+          lambda c: not _duality_mismatch(c),
+          lambda c: f"status differs at position {_duality_mismatch(c)}", reads_encoding=True),
+    Check("corner_quadrant_agreement", FAMILIES,
+          lambda c: check_corner_quadrants(c.arr),
+          lambda c: "corner characterizations disagree"),
+    Check("triangle_opposite_orders", _INF,
+          lambda c: check_triangle_opposite_orders(c.encoding, c.arr, c.oracle),
+          lambda c: "crossing orders not opposite", reads_encoding=True),
+)}
+
+_FAMILY_CHECKS = {
+    family: tuple(check for check in CHECKS.values() if family in check.families)
+    for family in FAMILIES
+}
+
+
+def _one_smaller(encoding: Nomenclature | GonalityCycle):
+    """Every valid encoding with one label dropped and the larger labels
+    shifted down, largest dropped label first; label 1 of a cycle stays."""
+    if isinstance(encoding, Nomenclature):
+        for drop in range(encoding.n, 0, -1):
+            labels = tuple(x - (x > drop) for x in encoding.labels if x != drop)
+            signs = tuple(s for x, s in zip(encoding.labels, encoding.signs) if x != drop)
             try:
-                smaller = Nomenclature(tuple(labels), tuple(signs))
+                smaller = Nomenclature(labels, signs)
             except ArrangementError:
                 continue
-            if fails(smaller):
-                current = smaller
-                improved = True
-                break
+            yield smaller
+    else:
+        for drop in range(encoding.n, 1, -1):
+            smaller = validate_cycle(x - (x > drop) for x in encoding.seq if x != drop)
+            if smaller is not None:
+                yield smaller
+
+
+def _minimize(encoding, fails):
+    """Greedy one-label-at-a-time deletion while ``fails`` holds, down to
+    3 lines for a nomenclature and 4 for a cycle."""
+    floor = 3 if isinstance(encoding, Nomenclature) else 4
+    current = encoding
+    while current.n > floor:
+        smaller = next((c for c in _one_smaller(current) if fails(c)), None)
+        if smaller is None:
+            break
+        current = smaller
     return current
 
 
-def _minimize_cycle(cycle: GonalityCycle, fails) -> GonalityCycle:
-    current = cycle
-    improved = True
-    while improved and current.n > 4:
-        improved = False
-        for drop in sorted(current.seq, reverse=True):
-            if drop == 1:
-                continue
-            seq = tuple(x - (x > drop) for x in current.seq if x != drop)
-            smaller = validate_cycle(seq)
-            if smaller is not None and fails(smaller):
-                current = smaller
-                improved = True
-                break
-    return current
+def _counterexample(check: Check, family: str, trial: int, seed: int, case: Case):
+    """The counterexample of a failed check.  An infinity or cyclic case is
+    first shrunk while the check fails on the realization of the smaller
+    encoding; a candidate that cannot be realized does not fail."""
+    if family != "generic":
+        realize = realize_nomenclature if family == "infinity" else realize_cycle
 
-
-def _infinity_trial(report: FuzzReport, trial: int, n: int, seed: int):
-    nom, arr = gen_infinity_type(n, seed)
-
-    def ce(check, detail, witness_nom=None, witness_arr=None):
-        def build():
-            wn = witness_nom if witness_nom is not None else nom
-            wa = witness_arr if witness_arr is not None else arr
-            return Counterexample(
-                check, trial, wn.n, seed, detail,
-                _arr_text(wa), format_nomenclature(wn),
-            )
-
-        return build
-
-    derived = derive_nomenclature(arr, nom.labels)
-    report.record(
-        "derive_realize_roundtrip",
-        derived == nom,
-        ce("derive_realize_roundtrip", f"derived {format_nomenclature(derived)}"),
-    )
-
-    oracle = triangle_faces_oracle(arr)
-    symbolic = nomenclature_triangles(nom)
-    if symbolic != oracle:
-
-        def tri_fails(candidate: Nomenclature) -> bool:
+        def fails(candidate) -> bool:
             try:
-                a = realize_nomenclature(candidate)
+                return not check.holds(Case(realize(candidate), candidate))
             except ArrangementError:
                 return False
-            return nomenclature_triangles(candidate) != triangle_faces_oracle(a)
 
-        small = _minimize_nomenclature(nom, tri_fails)
-        sarr = realize_nomenclature(small)
+        small = _minimize(case.encoding, fails)
+        if small is not case.encoding:
+            case = Case(realize(small), small)
+    witness = "" if case.encoding is None else str(case.encoding)
+    return Counterexample(
+        check.name, trial, case.arr.n, seed, check.detail(case),
+        fileio.format_arrangement(case.arr), witness, family,
+    )
+
+
+def _generate(family: str, n: int, seed: int) -> Case:
+    """The case of one trial; a generic sample's encoding is the nomenclature
+    of the first infinity permutation backtracking finds, if any."""
+    if family == "generic":
+        arr = gen_generic(n, seed)
+        perm = find_infinity_permutation(arr)
+        return Case(arr, None if perm is None else derive_nomenclature(arr, perm))
+    generate = gen_infinity_type if family == "infinity" else gen_cyclic
+    encoding, arr = generate(n, seed)
+    return Case(arr, encoding)
+
+
+def _trial(report: FuzzReport, family: str, trial: int, n: int, seed: int):
+    """Run the family's checks on one case in table order, then its
+    counters: note violations (the greedy rule finds no insertion order
+    where backtracking does), stability of the realization across ladder
+    variants, and the two readings of trivial isomorphism."""
+    case = _generate(family, n, seed)
+    arr, encoding = case.arr, case.encoding
+    for check in _FAMILY_CHECKS[family]:
+        if check.reads_encoding and encoding is None:
+            continue
+        ok = check.holds(case)
         report.record(
-            "sign_rule_vs_oracle",
-            False,
-            ce(
-                "sign_rule_vs_oracle",
-                f"signs {sorted(nomenclature_triangles(small))} vs oracle "
-                f"{sorted(triangle_faces_oracle(sarr))}",
-                small,
-                sarr,
-            ),
+            check.name, ok, None if ok else partial(_counterexample, check, family, trial, seed, case)
         )
-    else:
-        report.record("sign_rule_vs_oracle", True)
 
-    report.record(
-        "faces_vs_oracle",
-        triangles_from_faces(arr) == oracle,
-        ce("faces_vs_oracle", "face walk and side oracle disagree"),
-    )
-    report.record(
-        "face_census", check_face_census(arr), ce("face_census", "bounded face count off")
-    )
-
-    neg = nom.negated()
-    neg_arr = realize_nomenclature(neg)
-    inf_ok = dual_ok = True
-    bad_t = 0
-    for t in range(1, n + 1):
-        s = is_line_at_infinity_symbolic(nom, t)
-        g = is_line_at_infinity_geom(arr, nom.label_at(t))
-        if s != g:
-            inf_ok, bad_t = False, t
-            break
-        if g != is_line_at_infinity_geom(neg_arr, nom.label_at(t)):
-            dual_ok, bad_t = False, t
-            break
-    report.record(
-        "infinity_line_sym_vs_geom",
-        inf_ok,
-        ce("infinity_line_sym_vs_geom", f"disagreement at position {bad_t}"),
-    )
-    report.record(
-        "negation_duality_geom",
-        dual_ok,
-        ce("negation_duality_geom", f"status differs at position {bad_t}", neg, neg_arr),
-    )
-
-    report.record(
-        "corner_quadrant_agreement",
-        check_corner_quadrants(arr),
-        ce("corner_quadrant_agreement", "corner characterizations disagree"),
-    )
-    report.record(
-        "triangle_opposite_orders",
-        check_triangle_opposite_orders(nom, arr, oracle),
-        ce("triangle_opposite_orders", "crossing orders not opposite"),
-    )
-
-    if canonical_infinity_permutation(arr) is None:
-        if find_infinity_permutation(arr) is not None:
+    if family == "generic":
+        if encoding is None:
+            report.non_infinity_count += 1
+        elif canonical_infinity_permutation(arr) is None:
             report.note_violations += 1
-    other = realize_nomenclature(nom, variant=1)
-    if not is_isomorphic_trivial(arr, other):
-        report.stability_violations += 1
-    if is_isomorphic_trivial(arr, other) != is_isomorphic_trivial_global(arr, other):
-        report.iso_reading_disagreements += 1
-
-
-def _cyclic_trial(report: FuzzReport, trial: int, n: int, seed: int):
-    cycle, arr = gen_cyclic(n, seed)
-
-    def ce(check, detail, witness_cycle=None, witness_arr=None):
-        def build():
-            wc = witness_cycle if witness_cycle is not None else cycle
-            wa = witness_arr if witness_arr is not None else arr
-            return Counterexample(
-                check, trial, wc.n, seed, detail,
-                _arr_text(wa), format_cycle(wc),
-            )
-
-        return build
-
-    oracle = triangle_faces_oracle(arr)
-    listed = cycle_triangles(cycle)
-    if listed != oracle:
-
-        def tri_fails(candidate: GonalityCycle) -> bool:
-            try:
-                a = realize_cycle(candidate)
-            except ArrangementError:
-                return False
-            return cycle_triangles(candidate) != triangle_faces_oracle(a)
-
-        small = _minimize_cycle(cycle, tri_fails)
-        sarr = realize_cycle(small)
-        report.record(
-            "cycle_rule_vs_oracle",
-            False,
-            ce(
-                "cycle_rule_vs_oracle",
-                f"listed {sorted(cycle_triangles(small))} vs oracle "
-                f"{sorted(triangle_faces_oracle(sarr))}",
-                small,
-                sarr,
-            ),
-        )
-    else:
-        report.record("cycle_rule_vs_oracle", True)
-
-    report.record(
-        "detect_realize_roundtrip",
-        detect_gonality_cycle(arr) == cycle,
-        ce("detect_realize_roundtrip", "detected a different cycle"),
-    )
-    report.record(
-        "class_count_at_most_2",
-        len(triangle_equivalence_classes(oracle)) <= 2,
-        ce("class_count_at_most_2", f"{len(triangle_equivalence_classes(oracle))} classes"),
-    )
-    report.record(
-        "ngon_face_structure",
-        check_ngon_face_structure(arr, cycle),
-        ce("ngon_face_structure", "face other than n-gon/quad/adjacent triangle"),
-    )
-    report.record(
-        "juxtaposed_sides",
-        check_juxtaposed_sides(cycle, oracle),
-        ce("juxtaposed_sides", "boundary triple criterion disagrees with oracle"),
-    )
-    report.record(
-        "faces_vs_oracle",
-        triangles_from_faces(arr) == oracle,
-        ce("faces_vs_oracle", "face walk and side oracle disagree"),
-    )
-    report.record(
-        "face_census", check_face_census(arr), ce("face_census", "bounded face count off")
-    )
-    report.record(
-        "corner_quadrant_agreement",
-        check_corner_quadrants(arr),
-        ce("corner_quadrant_agreement", "corner characterizations disagree"),
-    )
-
-    other = realize_cycle(cycle, variant=1)
-    if not is_isomorphic_trivial(arr, other):
-        report.stability_violations += 1
-    if is_isomorphic_trivial(arr, other) != is_isomorphic_trivial_global(arr, other):
-        report.iso_reading_disagreements += 1
-
-
-def _generic_trial(report: FuzzReport, trial: int, n: int, seed: int):
-    arr = gen_generic(n, seed)
-
-    def ce(check, detail):
-        return lambda: Counterexample(check, trial, arr.n, seed, detail, _arr_text(arr), "")
-
-    report.record(
-        "corner_quadrant_agreement",
-        check_corner_quadrants(arr),
-        ce("corner_quadrant_agreement", "corner characterizations disagree"),
-    )
-    report.record(
-        "faces_vs_oracle",
-        triangles_from_faces(arr) == triangle_faces_oracle(arr),
-        ce("faces_vs_oracle", "face walk and side oracle disagree"),
-    )
-    report.record(
-        "face_census", check_face_census(arr), ce("face_census", "bounded face count off")
-    )
-
-    perm = find_infinity_permutation(arr)
-    if perm is None:
-        report.non_infinity_count += 1
         return
-    if canonical_infinity_permutation(arr) is None:
-        report.note_violations += 1
-    nom = derive_nomenclature(arr, perm)
-    oracle = triangle_faces_oracle(arr)
-    report.record(
-        "sign_rule_vs_oracle",
-        nomenclature_triangles(nom) == oracle,
-        lambda: Counterexample(
-            "sign_rule_vs_oracle", trial, arr.n, seed,
-            "signs disagree with oracle on a generic infinity-type sample",
-            _arr_text(arr), format_nomenclature(nom),
-        ),
-    )
-    ok = all(
-        is_line_at_infinity_symbolic(nom, t)
-        == is_line_at_infinity_geom(arr, nom.label_at(t))
-        for t in range(1, arr.n + 1)
-    )
-    report.record(
-        "infinity_line_sym_vs_geom",
-        ok,
-        lambda: Counterexample(
-            "infinity_line_sym_vs_geom", trial, arr.n, seed,
-            "symbolic and geometric status disagree",
-            _arr_text(arr), format_nomenclature(nom),
-        ),
-    )
+    if family == "infinity" and canonical_infinity_permutation(arr) is None:
+        report.note_violations += find_infinity_permutation(arr) is not None
+    realize = realize_nomenclature if family == "infinity" else realize_cycle
+    other = realize(encoding, variant=1)
+    if not is_isomorphic_trivial(arr, other):
+        report.stability_violations += 1
+    if is_isomorphic_trivial(arr, other) != is_isomorphic_trivial_global(arr, other):
+        report.iso_reading_disagreements += 1
 
 
-_TRIALS = {"infinity": _infinity_trial, "cyclic": _cyclic_trial, "generic": _generic_trial}
-
-
-def fuzz_differential(cfg: FuzzConfig, extra_checks=None) -> FuzzReport:
+def fuzz_differential(cfg: FuzzConfig) -> FuzzReport:
     """Run every applicable differential check on ``cfg.trials`` generated
     instances.  Failures are recorded, never raised; the first one is kept as
-    a self-contained counterexample.  ``extra_checks`` (name, fn(report,
-    trial, n, seed)) exists for tests of the harness itself."""
+    a self-contained counterexample."""
     report = FuzzReport(cfg)
-    run = _TRIALS[cfg.family]
     for trial in range(cfg.trials):
         seed = derive_seed(cfg.seed, trial)
         n = cfg.n_min + SplitMix64(seed).below(cfg.n_max - cfg.n_min + 1)
+        trial_seed = derive_seed(seed, 1)
         try:
-            run(report, trial, n, derive_seed(seed, 1))
+            _trial(report, cfg.family, trial, n, trial_seed)
         except Exception as exc:  # a trial must never abort the harness
-            report.record(
-                "trial-exception",
-                False,
-                Counterexample(
-                    "trial-exception", trial, n, derive_seed(seed, 1),
-                    f"{type(exc).__name__}: {exc}", "", cfg.family,
-                ),
-            )
-        for name, fn in extra_checks or ():
-            ok, ce = fn(trial, n, derive_seed(seed, 1))
-            report.record(name, ok, ce)
+            detail = f"{type(exc).__name__}: {exc}"
+            report.record("trial-exception", False, Counterexample(
+                "trial-exception", trial, n, trial_seed, detail, "", "", cfg.family))
         report.trials_run += 1
     return report
 
@@ -642,67 +619,20 @@ def rerun_counterexample(ce: Counterexample) -> bool:
     """Re-evaluate a recorded counterexample from its serialized form.
 
     Returns True when the failure reproduces.  The arrangement is reloaded
-    from its file text and the witness string reparsed, so the check runs on
-    freshly built objects.
+    from its file text and the witness reparsed as the encoding of
+    ``ce.family``, so the check runs on freshly built objects.  A trial
+    exception reruns the whole trial from its seed.
     """
-    arr = fileio.parse_arrangement(ce.arrangement_text)
-    witness = ce.witness
-    if ce.check in ("cycle_rule_vs_oracle", "juxtaposed_sides", "detect_realize_roundtrip"):
-        from .cyclicity import parse_cycle
-
-        cycle = parse_cycle(witness)
-        oracle = triangle_faces_oracle(arr)
-        if ce.check == "cycle_rule_vs_oracle":
-            return cycle_triangles(cycle) != oracle
-        if ce.check == "juxtaposed_sides":
-            return not check_juxtaposed_sides(cycle, oracle)
-        return detect_gonality_cycle(arr) != cycle
-    if ce.check in (
-        "sign_rule_vs_oracle",
-        "derive_realize_roundtrip",
-        "infinity_line_sym_vs_geom",
-        "negation_duality_geom",
-        "triangle_opposite_orders",
-    ):
-        from .nomenclature import parse_nomenclature
-
-        nom = parse_nomenclature(witness)
-        if ce.check == "sign_rule_vs_oracle":
-            return nomenclature_triangles(nom) != triangle_faces_oracle(arr)
-        if ce.check == "derive_realize_roundtrip":
-            return derive_nomenclature(arr, nom.labels) != nom
-        if ce.check == "triangle_opposite_orders":
-            return not check_triangle_opposite_orders(nom, arr, triangle_faces_oracle(arr))
-        if ce.check == "infinity_line_sym_vs_geom":
-            return any(
-                is_line_at_infinity_symbolic(nom, t)
-                != is_line_at_infinity_geom(arr, nom.label_at(t))
-                for t in range(1, nom.n + 1)
-            )
-        neg_arr = realize_nomenclature(nom)
-        base_arr = realize_nomenclature(nom.negated())
-        return any(
-            is_line_at_infinity_geom(base_arr, nom.label_at(t))
-            != is_line_at_infinity_geom(neg_arr, nom.label_at(t))
-            for t in range(1, nom.n + 1)
-        )
-    if ce.check == "corner_quadrant_agreement":
-        return not check_corner_quadrants(arr)
-    if ce.check == "faces_vs_oracle":
-        return triangles_from_faces(arr) != triangle_faces_oracle(arr)
-    if ce.check == "face_census":
-        return not check_face_census(arr)
-    if ce.check == "class_count_at_most_2":
-        return len(triangle_equivalence_classes(triangle_faces_oracle(arr))) > 2
-    if ce.check == "ngon_face_structure":
-        from .cyclicity import parse_cycle
-
-        return not check_ngon_face_structure(arr, parse_cycle(witness))
     if ce.check == "trial-exception":
-        probe = FuzzReport(FuzzConfig(ce.seed, 0, ce.n, ce.n, ce.witness))
+        probe = FuzzReport(FuzzConfig(ce.seed, 0, ce.n, ce.n, ce.family))
         try:
-            _TRIALS[ce.witness](probe, ce.trial, ce.n, ce.seed)
+            _trial(probe, ce.family, ce.trial, ce.n, ce.seed)
         except Exception:
             return True
         return probe.failures > 0
-    raise ArrangementError("bad-token", f"unknown check {ce.check!r}")
+    check = CHECKS.get(ce.check)
+    if check is None:
+        raise ArrangementError("bad-token", f"unknown check {ce.check!r}")
+    parse = parse_cycle if ce.family == "cyclic" else parse_nomenclature
+    encoding = parse(ce.witness) if ce.witness else None
+    return not check.holds(Case(fileio.parse_arrangement(ce.arrangement_text), encoding))

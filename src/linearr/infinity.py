@@ -10,6 +10,8 @@ cross-checked against their geometric counterparts by the fuzz harness.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
+
 from .arrangement import TriangleSet
 from .geometry import ArrangementError, sign
 from .nomenclature import Nomenclature
@@ -70,17 +72,26 @@ def nomenclature_triangles(nom: Nomenclature) -> TriangleSet:
     position between j and k carried the sign the case asks of an
     in-between line.  A case whose flag dies stays dead for every larger k,
     so the scan stops once both flags are dead.
+
+    The flags start from the sorted labels of the positions up to j, kept
+    with one insertion per j: no label lies strictly between lo and hi iff
+    the first label above lo is hi, and every label lies in [lo, hi] iff lo
+    and hi are the least and the greatest.  That is O(n^2 log n) before the
+    k scans.
     """
     labels, signs = nom.labels, nom.signs
     n = nom.n
     out = {tuple(sorted(labels[:3]))}  # positions (1, 2, 3)
-    for i in range(n - 2):  # 0-based positions from here on
-        li = labels[i]
-        for j in range(i + 1, n - 1):
-            lj, aj = labels[j], signs[j]
+    prefix = [labels[0]]  # 0-based positions from here on
+    for j in range(1, n - 1):
+        lj, aj = labels[j], signs[j]
+        insort(prefix, lj)
+        least, greatest = prefix[0], prefix[-1]
+        for i in range(j):
+            li = labels[i]
             lo, hi = (li, lj) if li < lj else (lj, li)
-            outside = not any(lo < v < hi for v in labels[: j + 1])
-            inside = all(lo <= v <= hi for v in labels[: j + 1])
+            outside = prefix[bisect_right(prefix, lo)] == hi
+            inside = lo == least and hi == greatest
             turn = aj if lj > li else -aj  # aj * sign(lab(j) - lab(i))
             for k in range(j + 1, n):
                 lk, sk = labels[k], signs[k]

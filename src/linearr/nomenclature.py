@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, at_infinity_in_subset, build_arrangement
+from .arrangement import Arrangement, build_arrangement
 from .geometry import (
     ArrangementError,
     direction_ladder,
@@ -160,31 +160,6 @@ def canonical_infinity_permutation(arr: Arrangement):
                 ends[row[last[i]]] += 1
     suffix.extend(sorted(remaining, reverse=True))
     return tuple(reversed(suffix))
-
-
-def find_infinity_permutation(arr: Arrangement):
-    """Any infinity permutation found by backtracking over all at-infinity
-    choices (largest ids first), or None if the arrangement is not infinity
-    type.  Exists to cross-check the greedy rule, which is believed to
-    suffice whenever any insertion order exists."""
-    memo: dict[frozenset, tuple | None] = {}
-
-    def solve(fs: frozenset):
-        if len(fs) <= 2:
-            return tuple(sorted(fs))
-        if fs in memo:
-            return memo[fs]
-        res = None
-        for m in sorted(fs, reverse=True):
-            if at_infinity_in_subset(arr, m, fs):
-                sub = solve(fs - {m})
-                if sub is not None:
-                    res = sub + (m,)
-                    break
-        memo[fs] = res
-        return res
-
-    return solve(frozenset(arr.ids))
 
 
 def derive_nomenclature(arr: Arrangement, perm=None) -> Nomenclature:

@@ -12,8 +12,8 @@ from linearr.arrangement import (
     triangle_equivalence_classes,
     triangle_faces_oracle,
     triangles_from_faces,
-    vertex_quadrant_empty,
 )
+from linearr.fuzzing import vertex_quadrant_empty
 from linearr.geometry import ArrangementError, line
 from linearr.nomenclature import parse_nomenclature, realize_nomenclature
 

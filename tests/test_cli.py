@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -144,7 +145,7 @@ def test_render_writes_svg(capsys, tmp_path):
     assert cli_main(["realize", "--nomenclature", "1^+1 2^-1 3^+1", "-o", arr_path]) == 0
     assert cli_main(["render", arr_path, "-o", svg_path, "--padding", "3/2"]) == 0
     capsys.readouterr()
-    body = open(svg_path).read()
+    body = Path(svg_path).read_text()
     assert body.startswith("<?xml") and body.count("<line ") == 3
 
 
@@ -155,7 +156,7 @@ def test_render_padding_keeps_its_output(capsys, tmp_path):
     assert cli_main(["render", arr_path, "-o", svg_path, "--padding", "3/2"]) == 0
     capsys.readouterr()
     spec = RenderSpec(path=svg_path, padding=Fraction(3, 2))
-    assert open(svg_path).read() == svg_text(load_arrangement(arr_path), spec)
+    assert Path(svg_path).read_text() == svg_text(load_arrangement(arr_path), spec)
 
 
 @pytest.mark.parametrize("padding", ["abc", "-1", "1e3"])
@@ -178,7 +179,7 @@ def test_fuzz_subcommand_with_json(capsys, tmp_path):
     )
     assert code == 0
     assert "result: OK" in out
-    data = json.loads(open(json_path).read())
+    data = json.loads(Path(json_path).read_text())
     assert data["failures"] == 0 and data["trials_run"] == 4
 
 

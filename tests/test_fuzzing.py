@@ -1,8 +1,11 @@
 import pytest
 
-from linearr.cyclicity import format_cycle, realize_cycle, validate_cycle
+import linearr.fuzzing as fz
+from linearr.cyclicity import enumerate_cycles, format_cycle, realize_cycle, validate_cycle
 from linearr.fileio import format_arrangement
 from linearr.fuzzing import (
+    CHECKS,
+    FAMILIES,
     Counterexample,
     FuzzConfig,
     FuzzReport,
@@ -13,10 +16,10 @@ from linearr.fuzzing import (
     gen_generic,
     gen_infinity_type,
     rerun_counterexample,
-    _minimize_nomenclature,
+    _minimize,
 )
 from linearr.geometry import ArrangementError
-from linearr.nomenclature import parse_nomenclature
+from linearr.nomenclature import Nomenclature, format_nomenclature, parse_nomenclature
 
 
 def test_splitmix64_reference_vector():
@@ -84,8 +87,6 @@ def test_small_runs_are_clean_and_reproducible(family, n_min, n_max):
 
 def test_cyclic_coverage_at_n5():
     # all 11 cycles show up within a coupon-collector-sized number of draws
-    from linearr.cyclicity import enumerate_cycles
-
     want = {c.seq for c in enumerate_cycles(5)}
     seen = set()
     for seed in range(200):
@@ -102,18 +103,21 @@ def test_generic_family_finds_non_infinity_samples():
     assert rep.non_infinity_count > 0
 
 
-def test_injected_failure_is_recorded_with_counterexample():
-    probe = Counterexample("probe", 0, 3, 0, "synthetic", "arr v1 n=0\n", "")
-
-    def failing_check(trial, n, seed):
-        return False, probe
-
-    cfg = FuzzConfig(seed=9, trials=3, n_min=3, n_max=4, family="infinity")
-    rep = fuzz_differential(cfg, extra_checks=[("probe", failing_check)])
-    assert rep.checks["probe"] == [0, 3]
+def test_injected_failure_is_recorded_with_counterexample(monkeypatch):
+    monkeypatch.setattr(fz, "check_face_census", lambda arr: False)
+    cfg = FuzzConfig(seed=9, trials=3, n_min=4, n_max=5, family="infinity")
+    rep = fuzz_differential(cfg)
+    assert rep.checks["face_census"] == [0, 3]
     assert rep.failures == 3
-    assert rep.counterexample is probe
-    assert "probe" in rep.to_text()
+    ce = rep.counterexample
+    assert (ce.check, ce.family, ce.trial, ce.detail) == (
+        "face_census", "infinity", 0, "bounded face count off",
+    )
+    # the minimizer shrank the failing nomenclature to three lines
+    assert ce.n == 3 and parse_nomenclature(ce.witness).n == 3
+    assert rerun_counterexample(ce) is True
+    assert "check=face_census" in rep.to_text()
+    assert rep.to_json_dict()["counterexample"]["family"] == "infinity"
 
 
 def test_counterexample_refails_from_serialized_form():
@@ -130,6 +134,7 @@ def test_counterexample_refails_from_serialized_form():
         detail="synthetic mismatch",
         arrangement_text=format_arrangement(realize_cycle(c_real)),
         witness=format_cycle(c_claimed),
+        family="cyclic",
     )
     assert rerun_counterexample(ce) is True
     honest = Counterexample(
@@ -140,16 +145,20 @@ def test_counterexample_refails_from_serialized_form():
         detail="no mismatch",
         arrangement_text=format_arrangement(realize_cycle(c_claimed)),
         witness=format_cycle(c_claimed),
+        family="cyclic",
     )
     assert rerun_counterexample(honest) is False
 
 
 def test_minimizer_shrinks_while_failure_persists():
     nom = parse_nomenclature("1^+1 2^-1 3^+1 7^+1 6^+1 4^-1 5^+1")
-    small = _minimize_nomenclature(nom, lambda candidate: True)
+    small = _minimize(nom, lambda candidate: True)
     assert small.n == 3
-    untouched = _minimize_nomenclature(nom, lambda candidate: False)
+    untouched = _minimize(nom, lambda candidate: False)
     assert untouched == nom
+    cycle = validate_cycle((1, 3, 4, 6, 2, 5))
+    assert _minimize(cycle, lambda candidate: True).n == 4
+    assert _minimize(cycle, lambda candidate: False) == cycle
 
 
 def test_report_text_shape():
@@ -160,14 +169,84 @@ def test_report_text_shape():
 
 
 def test_trial_exception_is_recorded_not_raised(monkeypatch):
-    import linearr.fuzzing as fz
-
-    def exploding_trial(report, trial, n, seed):
+    def exploding_generator(n, seed):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(fz._TRIALS, "infinity", exploding_trial)
+    monkeypatch.setattr(fz, "gen_infinity_type", exploding_generator)
     cfg = FuzzConfig(seed=1, trials=2, n_min=3, n_max=4, family="infinity")
     rep = fuzz_differential(cfg)
     assert rep.trials_run == 2
     assert rep.checks["trial-exception"] == [0, 2]
-    assert "boom" in rep.counterexample.detail
+    ce = rep.counterexample
+    assert ce.detail == "RuntimeError: boom"
+    assert (ce.family, ce.witness, ce.arrangement_text) == ("infinity", "", "")
+    assert rerun_counterexample(ce) is True
+
+
+def test_duality_is_checked_when_the_infinity_rule_fails(monkeypatch):
+    # the realization's statuses are flipped, so they disagree with both the
+    # symbolic rule and the realization of the negated nomenclature
+    cfg = FuzzConfig(seed=21, trials=1, n_min=6, n_max=6, family="infinity")
+    _, arr = gen_infinity_type(6, derive_seed(derive_seed(cfg.seed, 0), 1))
+    real = fz.is_line_at_infinity_geom
+    monkeypatch.setattr(
+        fz, "is_line_at_infinity_geom", lambda a, which: real(a, which) != (a == arr)
+    )
+    rep = fuzz_differential(cfg)
+    assert rep.checks["infinity_line_sym_vs_geom"] == [0, 1]
+    assert rep.checks["negation_duality_geom"] == [0, 1]
+    assert rep.counterexample.check == "infinity_line_sym_vs_geom"
+
+
+def wrong_encodings(family, case, seed):
+    """Encodings the case's arrangement does not realize: for a cycle,
+    another cycle of the same size; for a nomenclature, each one with a
+    single sign flipped, and another draw of the same size."""
+    enc = case.encoding
+    if family == "cyclic":
+        return [next(c for c in enumerate_cycles(enc.n) if c != enc)]
+    out = []
+    for pos in range(3, enc.n):
+        signs = list(enc.signs)
+        signs[pos] = -signs[pos]
+        out.append(Nomenclature(enc.labels, tuple(signs)))
+    other = gen_infinity_type(enc.n, seed + 1)[0]
+    if other != enc:
+        out.append(other)
+    return out
+
+
+def test_every_check_replays_its_verdict():
+    """The counterexample a passing trial would give replays False for every
+    registered check.  Paired with a wrong encoding, a check that reads the
+    encoding replays the verdict it has on the live objects, or the same
+    error, and replays True on some pairing."""
+    replayed, caught = set(), set()
+    for family in FAMILIES:
+        for trial in range(8):
+            seed = derive_seed(31, trial)
+            case = fz._generate(family, 5 + trial % 3, seed)
+            fmt = format_cycle if family == "cyclic" else format_nomenclature
+            for check in fz._FAMILY_CHECKS[family]:
+                if check.reads_encoding and case.encoding is None:
+                    continue
+                ce = fz._counterexample(check, family, trial, seed, case)
+                assert ce.family == family
+                assert rerun_counterexample(ce) is False, (family, check.name)
+                replayed.add((family, check.name))
+                if not check.reads_encoding:
+                    continue
+                for wrong in wrong_encodings(family, case, seed):
+                    ce.witness = fmt(wrong)
+                    try:
+                        verdict = check.holds(fz.Case(case.arr, wrong))
+                    except ArrangementError:  # labels that are no insertion order
+                        with pytest.raises(ArrangementError):
+                            rerun_counterexample(ce)
+                        continue
+                    assert rerun_counterexample(ce) is not verdict, (family, check.name)
+                    if not verdict:
+                        caught.add((family, check.name))
+    registered = {(f, c.name) for c in CHECKS.values() for f in c.families}
+    assert replayed == registered
+    assert caught == {(f, c) for f, c in registered if CHECKS[c].reads_encoding}

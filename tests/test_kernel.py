@@ -655,6 +655,55 @@ def test_theorem_b_scan_equals_the_per_triple_rule():
             assert nomenclature_triangles(nom) == nomenclature_triangles_by_triples(nom)
 
 
+def nomenclature_triangles_by_prefix_scans(nom):
+    """Theorem B's scan with the prefix flags of each pair (i, j) computed by
+    a pass over all labels up to position j."""
+    labels, signs = nom.labels, nom.signs
+    n = nom.n
+    out = {tuple(sorted(labels[:3]))}
+    for i in range(n - 2):
+        li = labels[i]
+        for j in range(i + 1, n - 1):
+            lj, aj = labels[j], signs[j]
+            lo, hi = (li, lj) if li < lj else (lj, li)
+            outside = not any(lo < v < hi for v in labels[: j + 1])
+            inside = all(lo <= v <= hi for v in labels[: j + 1])
+            turn = aj if lj > li else -aj
+            for k in range(j + 1, n):
+                lk, sk = labels[k], signs[k]
+                outside = outside and not lo < lk < hi
+                inside = inside and lo <= lk <= hi
+                if outside:
+                    want = turn if lk > lj else -turn
+                elif inside:
+                    want = aj
+                else:
+                    break
+                if sk == want:
+                    out.add(tuple(sorted((li, lj, lk))))
+                outside = outside and sk == -want
+                inside = inside and sk == -want
+    return out
+
+
+def test_theorem_b_scan_equals_the_prefix_scan_form():
+    """On the nomenclatures derived from the kernel set and the large
+    realizations, and on each of those with one sign flipped."""
+    checked = 0
+    for arr in chain(kernel_arrangements(), large_realizations()):
+        if canonical_infinity_permutation(arr) is None:
+            continue
+        nom = derive_nomenclature(arr)
+        flips = [
+            Nomenclature(nom.labels, nom.signs[:p] + (-nom.signs[p],) + nom.signs[p + 1 :])
+            for p in range(3, nom.n)
+        ]
+        for case in [nom] + flips:
+            assert nomenclature_triangles(case) == nomenclature_triangles_by_prefix_scans(case)
+            checked += 1
+    assert checked > 700
+
+
 def triangle_opposite_orders_by_parameters(nom, arr, oracle):
     """``check_triangle_opposite_orders`` with each crossing placed by its
     ``Fraction`` parameter along the base line's direction."""

@@ -2,12 +2,11 @@ import pytest
 
 from linearr.arrangement import build_arrangement, is_isomorphic_trivial
 from linearr.geometry import ArrangementError, side
-from linearr.fuzzing import SplitMix64, gen_infinity_type
+from linearr.fuzzing import SplitMix64, find_infinity_permutation, gen_infinity_type
 from linearr.nomenclature import (
     Nomenclature,
     canonical_infinity_permutation,
     derive_nomenclature,
-    find_infinity_permutation,
     format_nomenclature,
     parse_nomenclature,
     realize_nomenclature,
