@@ -44,14 +44,21 @@ def _vkey(i: int, j: int) -> VertexKey:
 
 
 class Arrangement:
-    """Immutable container for the lines plus cached derived tables.
+    """Immutable container for the lines plus their derived tables.
 
-    Construct through :func:`build_arrangement`; the constructor assumes the
-    lines are already validated, angle-sorted and conventionally embedded.
+    Construct through :func:`build_arrangement`, which validates, angle-sorts
+    and conventionally embeds the lines and hands over their tables: each
+    vertex as an integer triple (X, Y, W) with W > 0, the ``order_rows`` (row
+    i - 1: the other ids along line i's conventional orientation) and the
+    side bits (bit m of vertex (i, j) is set iff line m has side +1 there;
+    read single signs through :meth:`side_at`).
     """
 
-    def __init__(self, lines: tuple[Line, ...]):
+    def __init__(self, lines: tuple[Line, ...], homog: dict, rows: Rows, bits: dict):
         self.lines = lines
+        self._vertex_homog = homog
+        self.order_rows = rows
+        self._side_bits = bits
 
     @property
     def n(self) -> int:
@@ -74,11 +81,6 @@ class Arrangement:
         return f"Arrangement(n={self.n})"
 
     @cached_property
-    def _vertex_homog(self) -> dict[VertexKey, tuple[int, int, int]]:
-        """Vertices as integer homogeneous triples (X, Y, W), W > 0."""
-        return _homogeneous_vertices(self.lines)
-
-    @cached_property
     def vertices(self) -> dict[VertexKey, Point]:
         return {
             k: Point(Fraction(x, w), Fraction(y, w))
@@ -87,19 +89,6 @@ class Arrangement:
 
     def vertex(self, i: int, j: int) -> Point:
         return self.vertices[_vkey(i, j)]
-
-    @cached_property
-    def _rows_and_bits(self) -> tuple[Rows, dict[VertexKey, int]]:
-        """:attr:`order_rows` and :attr:`_side_bits`, filled together; an
-        arrangement from :func:`build_arrangement` gets them handed over."""
-        return _rows_and_bits_of(self.lines, self._vertex_homog)
-
-    @cached_property
-    def _side_bits(self) -> dict[VertexKey, int]:
-        """Side signs of every line at every vertex, one int per vertex: bit m
-        is set iff line m has side +1 there.  Bits 0, i and j of vertex (i, j)
-        stay clear; read single signs through :meth:`side_at`."""
-        return self._rows_and_bits[1]
 
     def side_at(self, m: int, i: int, j: int) -> int:
         """Side sign of line m at the vertex of lines i and j (m not in {i,j})."""
@@ -110,12 +99,6 @@ class Arrangement:
         if m == i or m == j or not 0 < m <= len(self.lines):
             raise KeyError((m, key))
         return -1
-
-    @cached_property
-    def order_rows(self) -> Rows:
-        """Row i: the other ids sorted along line i's conventional orientation,
-        the local sequence of line i."""
-        return self._rows_and_bits[0]
 
     @cached_property
     def _face_walk(self) -> _FaceWalk:
@@ -196,6 +179,16 @@ def _rows_and_bits_of(lines, homog) -> tuple[Rows, dict[VertexKey, int]]:
     return tuple(rows), bits
 
 
+def _reject_parallel(lines) -> None:
+    """Raise ``parallel-lines`` naming the first pair of parallel or equal
+    lines, counted from 1 in input order."""
+    for (p, lp), (q, lq) in combinations(enumerate(lines, 1), 2):
+        if lp.a * lq.b == lq.a * lp.b:
+            raise ArrangementError(
+                "parallel-lines", f"input lines {p} and {q} are parallel: {lp} / {lq}"
+            )
+
+
 def build_arrangement(raw) -> Arrangement:
     """Validate, angle-sort and conventionally embed a set of lines.
 
@@ -216,12 +209,7 @@ def build_arrangement(raw) -> Arrangement:
     if len(lines) < 2:
         raise ArrangementError("too-few-lines", "an arrangement needs at least 2 lines")
 
-    for (p, lp), (q, lq) in combinations(enumerate(lines), 2):
-        if lp.a * lq.b == lq.a * lp.b:
-            raise ArrangementError(
-                "parallel-lines", f"input lines {p} and {q} are parallel: {lp} / {lq}"
-            )
-
+    _reject_parallel(lines)
     lines.sort(key=cmp_to_key(cmp_angle))
 
     # Crossing orders and side signs are translation invariant, so those of
@@ -246,13 +234,11 @@ def build_arrangement(raw) -> Arrangement:
     )))
     tx = 1 - min_x if min_x <= 0 else 0
     if tx or ty:
-        # the vertices move too; the returned arrangement computes its own
-        arr = Arrangement(tuple(ln.translated(tx, ty) for ln in lines))
-    else:
-        arr = Arrangement(tuple(lines))
-        arr._vertex_homog = homog
-    arr._rows_and_bits = rows, bits
-    if not all(x > 0 and y > 0 for x, y, _ in arr._vertex_homog.values()):
+        # the vertices move too
+        lines = [ln.translated(tx, ty) for ln in lines]
+        homog = _homogeneous_vertices(lines)
+    arr = Arrangement(tuple(lines), homog, rows, bits)
+    if not all(x > 0 and y > 0 for x, y, _ in homog.values()):
         raise ArrangementError(
             "internal-invariant", "a vertex lies outside the open first quadrant"
         )

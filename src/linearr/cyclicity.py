@@ -14,9 +14,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-# bounded_faces is not used here; perfbench's tracer test looks it up in this
-# module.
 from .arrangement import Arrangement, TriangleSet, bounded_faces, build_arrangement
+from .fileio import MAX_DIGITS
 from .geometry import ArrangementError, direction_ladder
 
 MAX_ENUM_N = 24
@@ -48,7 +47,7 @@ def validate_cycle(seq) -> GonalityCycle | None:
     n = len(seq)
     if sorted(seq) != list(range(1, n + 1)):
         raise ArrangementError("not-a-permutation", f"{seq} is not a permutation of 1..{n}")
-    if seq[0] != 1:
+    if seq[:1] != (1,):
         raise ArrangementError("must-start-at-1", f"cycle {seq} must be written from 1")
     descents = [k for k in range(1, n) if seq[k] < seq[k - 1]]
     if len(descents) != 1:
@@ -61,14 +60,15 @@ def validate_cycle(seq) -> GonalityCycle | None:
     return GonalityCycle(seq, r)
 
 
-_CYCLE_TEXT = re.compile(r"^\(\s*(\d+(?:\s+\d+)*)\s*\)$")
+_LABEL = r"[0-9]{1,%d}" % MAX_DIGITS  # the file loader's rule for integers
+_CYCLE_TEXT = re.compile(r"\(\s*(%s(?:\s+%s)*)\s*\)" % (_LABEL, _LABEL))
 
 
 def parse_cycle(text: str) -> GonalityCycle:
     """Parse "(1 4 5 2 3)" style text into a validated cycle."""
-    m = _CYCLE_TEXT.match(text.strip())
+    m = _CYCLE_TEXT.fullmatch(text.strip())
     if not m:
-        raise ArrangementError("bad-token", f"bad cycle text {text!r}")
+        raise ArrangementError("bad-token", f"bad cycle text {text[:40]!r}")
     seq = tuple(int(t) for t in m.group(1).split())
     c = validate_cycle(seq)
     if c is None:

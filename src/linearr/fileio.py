@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .arrangement import Arrangement, build_arrangement
+from .arrangement import Arrangement, _reject_parallel, build_arrangement
 from .geometry import ArrangementError, LESS, cmp_angle, line
 
 # Python's own default limit on converting a decimal string to an int.
@@ -89,6 +89,7 @@ def parse_arrangement(text: str) -> Arrangement:
     lines = [by_id[i] for i in range(1, n + 1)]
     for i in range(n - 1):
         if cmp_angle(lines[i], lines[i + 1]) != LESS:
+            _reject_parallel(lines)  # a strictly increasing order has none
             key = cmp_to_key(cmp_angle)
             order = sorted(range(n), key=lambda k: key(lines[k]))
             suggestion = ", ".join(

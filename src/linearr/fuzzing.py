@@ -16,7 +16,7 @@ and could run concurrently; the report only depends on the configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from itertools import combinations
 from typing import Callable
@@ -173,6 +173,8 @@ class FuzzConfig:
 
 @dataclass
 class Counterexample:
+    """A failed check and what replays it; the JSON form is ``asdict``."""
+
     check: str
     trial: int
     n: int
@@ -252,18 +254,7 @@ class FuzzReport:
             "iso_reading_disagreements": self.iso_reading_disagreements,
             "non_infinity_type": self.non_infinity_count,
             "failures": self.failures,
-            "counterexample": None
-            if self.counterexample is None
-            else {
-                "check": self.counterexample.check,
-                "family": self.counterexample.family,
-                "trial": self.counterexample.trial,
-                "n": self.counterexample.n,
-                "seed": self.counterexample.seed,
-                "detail": self.counterexample.detail,
-                "witness": self.counterexample.witness,
-                "arrangement": self.counterexample.arrangement_text,
-            },
+            "counterexample": None if self.counterexample is None else asdict(self.counterexample),
         }
 
 
@@ -273,8 +264,9 @@ class FuzzReport:
 def find_infinity_permutation(arr: Arrangement):
     """Any infinity permutation found by backtracking over all at-infinity
     choices (largest ids first), or None if the arrangement is not infinity
-    type.  Exists to cross-check the greedy rule, which is believed to
-    suffice whenever any insertion order exists."""
+    type.  Exists to cross-check the implementation of the greedy rule,
+    which is complete: it finds an insertion order whenever one exists (see
+    :func:`~linearr.nomenclature.canonical_infinity_permutation`)."""
     memo: dict[frozenset, tuple | None] = {}
 
     def solve(fs: frozenset):
@@ -426,6 +418,17 @@ def _duality_mismatch(case: Case) -> int:
     return 0
 
 
+def _derived(case: Case) -> Nomenclature | None:
+    """The nomenclature of the arrangement along the encoding's labels, or
+    None when they are not an insertion order of the arrangement."""
+    try:
+        return derive_nomenclature(case.arr, case.encoding.labels)
+    except ArrangementError as exc:
+        if exc.code != "not-an-infinity-permutation":
+            raise
+        return None
+
+
 @dataclass(frozen=True)
 class Check:
     """One differential check: ``holds(case)`` is its verdict and
@@ -447,9 +450,9 @@ _INF, _CYC, _NOM = ("infinity",), ("cyclic",), ("infinity", "generic")
 
 CHECKS = {check.name: check for check in (
     Check("derive_realize_roundtrip", _INF,
-          lambda c: derive_nomenclature(c.arr, c.encoding.labels) == c.encoding,
-          lambda c: "derived "
-          + format_nomenclature(derive_nomenclature(c.arr, c.encoding.labels)),
+          lambda c: _derived(c) == c.encoding,
+          lambda c: "labels are not an insertion order of the arrangement"
+          if _derived(c) is None else "derived " + format_nomenclature(_derived(c)),
           reads_encoding=True),
     Check("sign_rule_vs_oracle", _NOM,
           lambda c: nomenclature_triangles(c.encoding) == c.oracle,

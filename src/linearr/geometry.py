@@ -134,10 +134,6 @@ def side(ln: Line, p: Point) -> int:
     return (v > 0) - (v < 0)
 
 
-def is_parallel(l1: Line, l2: Line) -> bool:
-    return l1.a * l2.b == l2.a * l1.b
-
-
 def meet(l1: Line, l2: Line) -> tuple[int, int, int]:
     """The common point of two non-parallel lines as an integer homogeneous
     triple (X, Y, W) with W > 0: the point is (X/W, Y/W).

@@ -122,83 +122,68 @@ def _decreasing(vals) -> bool:
 def is_line_at_infinity_symbolic(nom: Nomenclature, t: int) -> bool:
     """Does the line at position t have every vertex on one side, symbolically?
 
-    The last-inserted line always qualifies.  A -1 sign at t is handled by
-    evaluating the fully sign-negated nomenclature, where the same line
-    carries +1.  For +1 the branch is chosen by u, the last later position
-    with a +1 sign: labels grow from label(t) (branch below), no such u
-    exists (middle branch), or labels shrink from label(t) (branch above);
-    each branch is a conjunction of monotonicity and sandwich conditions on
-    the labels, with empty ranges vacuously fine.
+    The last-inserted line always qualifies.  The rule is a set of order
+    statements on the labels and signs, so it reads the same under negating
+    every sign and under reflecting the labels (x -> n + 1 - x).  A -1 sign
+    at t is therefore handled on the negated signs, where the same line
+    carries +1, and :func:`_at_infinity` reflects the labels when they
+    shrink from label(t).
     """
     if not 1 <= t <= nom.n:
         raise ArrangementError("bad-position", f"position {t} outside 1..{nom.n}")
     if t == nom.n:
         return True
-    if nom.sign_at(t) == -1:
-        return is_line_at_infinity_symbolic(nom.negated(), t)
+    signs = (0,) + nom.signs
+    if signs[t] == -1:
+        signs = tuple(-s for s in signs)
+    return _at_infinity((0,) + nom.labels, signs, t)
 
-    lab, sgn = nom.label_at, nom.sign_at
-    vt = lab(t)
-    after = range(t + 1, nom.n + 1)
-    before = [lab(p) for p in range(1, t)]
-    plus_after = [lab(p) for p in after if sgn(p) == 1]
-    minus_after = [lab(p) for p in after if sgn(p) == -1]
-    u = max((p for p in after if sgn(p) == 1), default=None)
+
+def _at_infinity(lab: tuple[int, ...], sgn: tuple[int, ...], t: int) -> bool:
+    """The rule for a +1 sign at position t < n, on labels and signs indexed
+    by position (index 0 unused).  The branch is chosen by u, the last later
+    position with a +1 sign: none, or label(t) < label(u), after reflecting
+    labels that shrink from label(t).  Each branch is a conjunction of
+    monotonicity and sandwich conditions, with empty ranges vacuously fine.
+    """
+    n = len(lab) - 1
+    vt = lab[t]
+    after = range(t + 1, n + 1)
+    u = max((p for p in after if sgn[p] == 1), default=None)
+    if u is not None and lab[u] < vt:
+        return _at_infinity(tuple(n + 1 - v for v in lab), sgn, t)
+    before = lab[1:t]
+    minus_after = [lab[p] for p in after if sgn[p] == -1]
 
     if u is None:
-        # Everything after t separates; the lines close in on line t from
-        # both sides, and everything placed before t stays outside the span
-        # of everything placed after.
-        low = [v for v in minus_after if v < vt]
-        high = [v for v in minus_after if v > vt]
-        if not (_increasing(low) and _decreasing(high)):
-            return False
-        if any(v > vt and any(v < w for w in minus_after) for v in before):
-            return False
-        if any(v < vt and any(v > w for w in minus_after) for v in before):
-            return False
-        return True
+        # Everything after t separates and closes in on line t from both
+        # sides; everything before t stays outside the span of what follows.
+        return (
+            _increasing([v for v in minus_after if v < vt])
+            and _decreasing([v for v in minus_after if v > vt])
+            and not any(v > vt and any(v < w for w in minus_after) for v in before)
+            and not any(v < vt and any(v > w for w in minus_after) for v in before)
+        )
 
-    vu = lab(u)
-    minus_between = [lab(p) for p in range(t + 1, u) if sgn(p) == -1]
-    after_u = [lab(p) for p in range(u + 1, nom.n + 1)]
-    if not all(sgn(p) == -1 for p in range(u + 1, nom.n + 1)):
-        raise ArrangementError("internal-invariant", "a +1 sign follows the last +1 position")
+    # every position after u carries -1
+    plus_after = [lab[p] for p in after if sgn[p] == 1]
+    minus_between = [lab[p] for p in range(t + 1, u) if sgn[p] == -1]
+    after_u = lab[u + 1:]
     low_u = [v for v in after_u if v < vt]
     high_u = [v for v in after_u if v > vt]
-
-    if vt < vu:
-        return (
-            all(v > vt for v in plus_after)
-            and _increasing(plus_after)
-            and all(m < q for m in minus_after for q in plus_after)
-            and all(
-                v > vt
-                and all(m < v for m in minus_after)
-                and all(v < q for q in plus_after)
-                for v in before
-            )
-            and all(v > vt for v in minus_between)
-            and _decreasing(minus_between)
-            and _increasing(low_u)
-            and _decreasing(high_u)
-            and all(h < m for h in high_u for m in minus_between)
-        )
-    # vu < vt: the mirror image of the previous branch under reversing the
-    # label order, which swaps the roles of the low and high groups.
     return (
-        all(v < vt for v in plus_after)
-        and _decreasing(plus_after)
-        and all(m > q for m in minus_after for q in plus_after)
+        all(v > vt for v in plus_after)
+        and _increasing(plus_after)
+        and all(m < q for m in minus_after for q in plus_after)
         and all(
-            v < vt
-            and all(m > v for m in minus_after)
-            and all(v > q for q in plus_after)
+            v > vt
+            and all(m < v for m in minus_after)
+            and all(v < q for q in plus_after)
             for v in before
         )
-        and all(v < vt for v in minus_between)
-        and _increasing(minus_between)
+        and all(v > vt for v in minus_between)
+        and _decreasing(minus_between)
         and _increasing(low_u)
         and _decreasing(high_u)
-        and all(l > m for l in low_u for m in minus_between)
+        and all(h < m for h in high_u for m in minus_between)
     )

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, build_arrangement
+from .fileio import MAX_DIGITS
 from .geometry import (
     ArrangementError,
     direction_ladder,
@@ -24,7 +25,8 @@ from .geometry import (
     meet,
 )
 
-_TOKEN = re.compile(r"^(\d+)\^([+-]1)$")
+# labels follow the file loader's rule for integers
+_TOKEN = re.compile(r"([0-9]{1,%d})\^([+-]1)" % MAX_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,9 @@ def parse_nomenclature(text: str) -> Nomenclature:
     tokens = text.split()
     labels, signs = [], []
     for tok in tokens:
-        m = _TOKEN.match(tok)
+        m = _TOKEN.fullmatch(tok)
         if not m:
-            raise ArrangementError("bad-token", f"bad nomenclature token {tok!r}")
+            raise ArrangementError("bad-token", f"bad nomenclature token {tok[:40]!r}")
         labels.append(int(m.group(1)))
         signs.append(1 if m.group(2) == "+1" else -1)
     return Nomenclature(tuple(labels), tuple(signs))
@@ -117,6 +119,12 @@ def canonical_infinity_permutation(arr: Arrangement):
     """Greedy insertion order: repeatedly strip the at-infinity line with the
     largest id.  Returns the permutation as an insertion order (first created
     line first) or None when some stage of 3+ lines has no at-infinity line.
+
+    The rule is complete: dropping a line from an insertion order leaves an
+    insertion order of the rest, so every subset of an infinity-type
+    arrangement is infinity type in the inherited order, stripping any line
+    at infinity never strands the rule, and None comes back exactly when the
+    arrangement is not infinity type.
 
     Read off the row ends.  Line m changes side along line i only at V_im, so
     the vertices on line i other than V_im lie on one side of m iff m is an

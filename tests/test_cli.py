@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from linearr import fuzzing
 from linearr.cli import cli_main
 from linearr.fileio import load_arrangement
 from linearr.svg import RenderSpec, svg_text
@@ -129,6 +130,23 @@ def test_analyze_rejects_bad_file(capsys, tmp_path):
     assert "id-order-mismatch" in err
 
 
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--nomenclature", "1^+1 2^-1 " + "3" * 5000 + "^+1"),
+        ("--nomenclature", "\u0661^+1 \u0662^-1 \u0663^+1"),
+        ("--cycle", "(1 3 2 " + "4" * 5000 + ")"),
+        ("--cycle", "(\u0661 \u0663 \u0662)"),
+    ],
+    ids=["nomenclature-5000-digits", "nomenclature-arabic-indic", "cycle-5000-digits",
+         "cycle-arabic-indic"],
+)
+def test_realize_rejects_labels_the_loader_rejects(capsys, tmp_path, option, text):
+    code, _, err = run(capsys, "realize", option, text, "-o", str(tmp_path / "x.arr"))
+    assert code == 2
+    assert err.startswith("error: bad-token: ")
+
+
 def test_realize_argument_validation(capsys, tmp_path):
     code, _, _ = run(capsys, "realize", "-o", str(tmp_path / "x.arr"))
     assert code == 2
@@ -181,6 +199,22 @@ def test_fuzz_subcommand_with_json(capsys, tmp_path):
     assert "result: OK" in out
     data = json.loads(Path(json_path).read_text())
     assert data["failures"] == 0 and data["trials_run"] == 4
+
+
+def test_fuzz_json_counterexample_replays(capsys, tmp_path, monkeypatch):
+    """A counterexample read back from ``fuzz --json`` rebuilds as a
+    ``Counterexample`` and replays its failure."""
+    monkeypatch.setattr(fuzzing, "check_face_census", lambda arr: False)
+    json_path = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys, "fuzz", "--family", "cyclic", "--trials", "2",
+        "--n-min", "5", "--n-max", "6", "--seed", "11", "--json", str(json_path),
+    )
+    assert code == 1 and "result: FAIL" in out
+    data = json.loads(json_path.read_text())
+    ce = fuzzing.Counterexample(**data["counterexample"])
+    assert ce.check == "face_census" and ce.family == "cyclic"
+    assert fuzzing.rerun_counterexample(ce) is True
 
 
 def test_usage_errors_exit_two(capsys):

@@ -37,6 +37,9 @@ def test_validate_malformed_inputs():
     with pytest.raises(ArrangementError) as err:
         validate_cycle((2, 1, 3))
     assert err.value.code == "must-start-at-1"
+    with pytest.raises(ArrangementError) as err:
+        validate_cycle(())
+    assert err.value.code == "must-start-at-1"
 
 
 def test_cycle_text_roundtrip():
@@ -47,6 +50,17 @@ def test_cycle_text_roundtrip():
         parse_cycle("1 5 2")
     with pytest.raises(ArrangementError):
         parse_cycle("(1 2 3)")  # shape-invalid
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(\u0661 \u0663 \u0662)", "(1 3 \uff12)", "(1 3 2 " + "4" * 5000 + ")", "(1 +3 2)"],
+    ids=["arabic-indic", "fullwidth", "5000-digits", "plus-sign"],
+)
+def test_cycle_labels_follow_the_file_loader(text):
+    with pytest.raises(ArrangementError) as err:
+        parse_cycle(text)
+    assert err.value.code == "bad-token"
 
 
 @pytest.mark.parametrize("n,count", [(3, 1), (4, 4), (5, 11), (6, 26), (7, 57)])

@@ -87,6 +87,22 @@ def test_integer_and_fraction_tokens_give_the_same_lines():
         assert (got.value.code, str(got.value)) == (want.value.code, str(want.value))
 
 
+@pytest.mark.parametrize(
+    "records, pair",
+    [
+        (["1 1 -1 1", "2 2 -2 5", "3 1 1 4"], "lines 1 and 2"),  # ids in angle order
+        (["1 2 -2 5", "2 1 1 4", "3 1 -1 1"], "lines 1 and 3"),  # ids out of order
+        (["1 1 -1 1", "2 1 1 4", "3 1 1 4"], "lines 2 and 3"),  # identical records
+        (["1 1 1 4", "2 1 -1 1", "3 1 1 2", "4 2 -2 3"], "lines 1 and 3"),
+    ],
+)
+def test_parallel_records_are_named_by_file_id(records, pair):
+    with pytest.raises(ArrangementError) as err:
+        parse_arrangement("arr v1 n=%d\n%s\n" % (len(records), "\n".join(records)))
+    assert err.value.code == "parallel-lines"
+    assert str(err.value).startswith("input " + pair + " are parallel: ")
+
+
 def test_id_order_mismatch_suggests_relabeling():
     with pytest.raises(ArrangementError) as err:
         parse_arrangement("arr v1 n=2\n1 1 1 3\n2 1 -1 0\n")

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 import linearr.fuzzing as fz
@@ -117,6 +119,7 @@ def test_injected_failure_is_recorded_with_counterexample(monkeypatch):
     assert ce.n == 3 and parse_nomenclature(ce.witness).n == 3
     assert rerun_counterexample(ce) is True
     assert "check=face_census" in rep.to_text()
+    assert rep.to_json_dict()["counterexample"] == asdict(ce)
     assert rep.to_json_dict()["counterexample"]["family"] == "infinity"
 
 
@@ -148,6 +151,27 @@ def test_counterexample_refails_from_serialized_form():
         family="cyclic",
     )
     assert rerun_counterexample(honest) is False
+
+
+def test_roundtrip_check_fails_on_labels_that_are_no_insertion_order():
+    """Labels that are not an insertion order of the arrangement fail the
+    check, with a detail saying so, and the failure replays; any other error
+    of ``derive_nomenclature`` still propagates."""
+    check = CHECKS["derive_realize_roundtrip"]
+    nom, arr = gen_infinity_type(6, 0)
+    other = gen_infinity_type(6, 1)[0]
+    with pytest.raises(ArrangementError) as err:
+        fz.derive_nomenclature(arr, other.labels)
+    assert err.value.code == "not-an-infinity-permutation"
+    case = fz.Case(arr, other)
+    assert check.holds(case) is False
+    assert check.detail(case) == "labels are not an insertion order of the arrangement"
+    assert check.holds(fz.Case(arr, nom)) is True
+    ce = fz._counterexample(check, "infinity", 0, 0, case)
+    assert rerun_counterexample(ce) is True
+    with pytest.raises(ArrangementError) as err:
+        check.holds(fz.Case(arr, gen_infinity_type(5, 0)[0]))
+    assert err.value.code == "not-a-permutation"
 
 
 def test_minimizer_shrinks_while_failure_persists():
@@ -219,9 +243,10 @@ def wrong_encodings(family, case, seed):
 def test_every_check_replays_its_verdict():
     """The counterexample a passing trial would give replays False for every
     registered check.  Paired with a wrong encoding, a check that reads the
-    encoding replays the verdict it has on the live objects, or the same
-    error, and replays True on some pairing."""
-    replayed, caught = set(), set()
+    encoding never raises, replays the verdict it has on the live objects,
+    and replays True on some pairing; for the roundtrip check the pairings
+    include labels that are no insertion order of the arrangement."""
+    replayed, caught, no_order = set(), set(), 0
     for family in FAMILIES:
         for trial in range(8):
             seed = derive_seed(31, trial)
@@ -238,15 +263,14 @@ def test_every_check_replays_its_verdict():
                     continue
                 for wrong in wrong_encodings(family, case, seed):
                     ce.witness = fmt(wrong)
-                    try:
-                        verdict = check.holds(fz.Case(case.arr, wrong))
-                    except ArrangementError:  # labels that are no insertion order
-                        with pytest.raises(ArrangementError):
-                            rerun_counterexample(ce)
-                        continue
+                    wrong_case = fz.Case(case.arr, wrong)
+                    verdict = check.holds(wrong_case)
                     assert rerun_counterexample(ce) is not verdict, (family, check.name)
+                    if check.name == "derive_realize_roundtrip":
+                        no_order += fz._derived(wrong_case) is None
                     if not verdict:
                         caught.add((family, check.name))
     registered = {(f, c.name) for c in CHECKS.values() for f in c.families}
     assert replayed == registered
     assert caught == {(f, c) for f, c in registered if CHECKS[c].reads_encoding}
+    assert no_order > 0

@@ -29,7 +29,6 @@ import pytest
 
 from linearr import arrangement
 from linearr.arrangement import (
-    Arrangement,
     Face,
     at_infinity_in_subset,
     bounded_faces,
@@ -135,7 +134,7 @@ def test_bounded_faces_walks_each_arrangement_once():
         (gen_infinity_type(30, 3)[1], None),
     ]
     for realized, cycle in cases:
-        arr = Arrangement(realized.lines)
+        arr = build_arrangement(realized.lines)  # fresh: no face walked yet
         walk = arr._face_walk
         walk.seen = RecordingSet()
         got = detect_gonality_cycle(arr)
@@ -166,7 +165,7 @@ def test_zone_faces_are_the_faces_on_that_line():
     realized = realize_cycle(parse_cycle("(1 4 6 9 12 2 3 5 7 8 10 11)"), 1)
     everything = bounded_faces(realized)
     for order in ([1, 3, 2, 12, 7], [12, 1], [5, 5, 1]):
-        arr = Arrangement(realized.lines)
+        arr = build_arrangement(realized.lines)
         for k in order:
             assert bounded_faces(arr, zone=k) == [f for f in everything if k in f.line_ids]
         assert bounded_faces(arr) == everything
@@ -189,7 +188,7 @@ def test_cached_faces_and_cycle_keep_no_reference_cycle():
         ref = weakref.ref(arr)
         del arr
         assert ref() is None
-        fresh = Arrangement(realize_nomenclature(parse_nomenclature(NOMENCLATURES[1])).lines)
+        fresh = build_arrangement(realize_nomenclature(parse_nomenclature(NOMENCLATURES[1])).lines)
         detect_gonality_cycle(fresh)
         ref = weakref.ref(fresh)
         del fresh
@@ -572,14 +571,14 @@ def seeded_arrangements():
 
 def test_side_bits_equal_the_sign_at_each_vertex():
     for arr in kernel_arrangements():
-        # the lazy table of a bare arrangement and the one build hands over
-        bare = Arrangement(arr.lines)
+        # the table of the realization and that of a fresh build of its lines
+        fresh = build_arrangement(arr.lines)
         for i, j in combinations(arr.ids, 2):
             v = arr.vertex(i, j)
             for m in arr.ids:
                 if m not in (i, j):
                     want = side(arr.line(m), v)
-                    assert arr.side_at(m, i, j) == want == bare.side_at(m, j, i)
+                    assert arr.side_at(m, i, j) == want == fresh.side_at(m, j, i)
 
 
 def test_side_at_refuses_a_line_through_the_vertex():
@@ -591,18 +590,17 @@ def test_side_at_refuses_a_line_through_the_vertex():
 
 def test_lazy_side_bits_report_a_concurrent_triple():
     # three angle-sorted lines through (1, 1), never passed through build
-    bare = Arrangement((Line(1, -1, 0), Line(1, 0, 1), Line(1, 1, 2)))
+    lines = (Line(1, -1, 0), Line(1, 0, 1), Line(1, 1, 2))
     with pytest.raises(ArrangementError) as err:
-        bare.order_rows
+        arrangement._rows_and_bits_of(lines, arrangement._homogeneous_vertices(lines))
     assert err.value.code == "concurrent-triple"
     assert str(err.value).startswith("lines 1,2,3 pass through")
 
 
 def test_side_bits_refuse_lines_out_of_angle_order():
-    lines = realize_nomenclature(parse_nomenclature(NOMENCLATURES[0])).lines
-    bare = Arrangement(lines[::-1])
+    lines = realize_nomenclature(parse_nomenclature(NOMENCLATURES[0])).lines[::-1]
     with pytest.raises(ArrangementError) as err:
-        bare.order_rows
+        arrangement._rows_and_bits_of(lines, arrangement._homogeneous_vertices(lines))
     assert err.value.code == "internal-invariant"
 
 

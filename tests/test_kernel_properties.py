@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from linearr import arrangement
 from linearr.arrangement import (
-    Arrangement,
     bounded_faces,
     build_arrangement,
     triangle_equivalence_classes,
@@ -77,7 +76,7 @@ def rows_first(raw):
         arr = build_arrangement(raw)
     except ArrangementError as exc:
         return exc.code, str(exc)
-    fresh = Arrangement(arr.lines)
+    fresh = build_arrangement(arr.lines)  # no face walked yet
     cycle = detect_gonality_cycle(fresh)  # line 1's zone first, then the rest
     faces = [f.edges for f in bounded_faces(fresh)]
     oracle = triangle_faces_oracle(arr)

@@ -49,6 +49,23 @@ def test_parse_errors(text, code):
     assert err.value.code == code
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("\u0661^+1 \u0662^-1 \u0663^+1", "bad-token"),
+        ("1^+1 \uff12^-1 3^+1", "bad-token"),
+        ("1^+1 2^-1 " + "3" * 5000 + "^+1", "bad-token"),
+        ("1^+1 2^-1 " + "3" * 4300 + "^+1", "not-a-permutation"),
+    ],
+    ids=["arabic-indic", "fullwidth", "5000-digits", "4300-digits"],
+)
+def test_parse_labels_follow_the_file_loader(text, code):
+    """Labels are the loader's integers: ASCII digits, at most MAX_DIGITS."""
+    with pytest.raises(ArrangementError) as err:
+        parse_nomenclature(text)
+    assert err.value.code == code
+
+
 def test_triangle_signs_case_one():
     arr = build_arrangement([(1, -1, 0), (1, 0, 1), (1, 1, 3)])
     assert triangle_signs(arr) == (1, -1, 1)
