@@ -429,17 +429,27 @@ class _FaceWalk:
 
     def _face(self, cycle) -> Face:
         rows, homog = self.rows, self.homog
-        edges = tuple((i, _vkey(i, rows[i][p])) for i, p, _ in cycle)
-        pts = [homog[vk] for _, vk in edges]
-        if not all(
-            _orientation(pts[k - 1], pts[k], pts[(k + 1) % len(pts)]) > 0
-            for k in range(len(pts))
-        ):
-            raise ArrangementError(
-                "internal-invariant", f"face walk {cycle} is not an anticlockwise convex polygon"
-            )
-        k = min(range(len(edges)), key=lambda t: edges[t])
-        return Face(edges[k:] + edges[:k])
+        edges = []
+        i, p, _ = cycle[-2]
+        j = rows[i][p]
+        u = homog[(i, j) if i < j else (j, i)]
+        i, p, _ = cycle[-1]
+        j = rows[i][p]
+        v = homog[(i, j) if i < j else (j, i)]
+        # each step tests the corner at v, between the previous corner u and w
+        for i, p, _ in cycle:
+            j = rows[i][p]
+            vk = (i, j) if i < j else (j, i)
+            edges.append((i, vk))
+            w = homog[vk]
+            if not _orientation(u, v, w) > 0:
+                raise ArrangementError(
+                    "internal-invariant",
+                    f"face walk {cycle} is not an anticlockwise convex polygon",
+                )
+            u, v = v, w
+        k = edges.index(min(edges))
+        return Face(tuple(edges[k:] + edges[:k]))
 
 
 def triangles_from_faces(arr: Arrangement) -> TriangleSet:

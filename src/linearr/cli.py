@@ -7,6 +7,7 @@ found, 2 invalid input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,7 +189,11 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    :func:`cli_main` call; parsing leaves it unchanged.  ``set_defaults(fn=...)``
+    binds the ``_cmd_*`` functions as they are at first use."""
     parser = argparse.ArgumentParser(
         prog="linearr",
         description="Exact analysis of line arrangements: triangles, "

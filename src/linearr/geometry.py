@@ -194,18 +194,19 @@ def direction_ladder(n: int, variant: int = 0) -> list[tuple[int, int, int]]:
     on the unit circle with tangent half-angle t = p/q.  t grows strictly
     with m, so the direction angles are strictly increasing in (0, pi) and
     spread roughly like pi*(m - 1/2)/n.  Two variants give independent
-    realizations of the same combinatorial data.
+    realizations of the same combinatorial data.  Raises ``n-out-of-range``
+    for n < 1 and ``bad-token`` for any variant other than 0 and 1.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ArrangementError("n-out-of-range", f"need n >= 1, got {n}")
+    if variant not in (0, 1):
+        raise ArrangementError("bad-token", f"unknown ladder variant {variant!r}")
     out = []
     for m in range(1, n + 1):
         if variant == 0:
             p, q = m, n + 1 - m
-        elif variant == 1:
-            p, q = 2 * m - 1, 2 * (n - m) + 1
         else:
-            raise ValueError(f"unknown ladder variant {variant}")
+            p, q = 2 * m - 1, 2 * (n - m) + 1
         g = gcd(p, q)
         p, q = p // g, q // g
         out.append((p, q, p * p + q * q))

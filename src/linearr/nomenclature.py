@@ -13,6 +13,7 @@ triangle the first three lines form; sorted by id those signs always read
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, build_arrangement
@@ -241,30 +242,44 @@ def realize_nomenclature(nom: Nomenclature, variant: int = 0) -> Arrangement:
     integer one keeps each line's coefficients those of its small ladder
     direction.
 
+    The bound of a vertex is a linear function of its coordinates, so its
+    extreme over the vertices of the placed lines is taken at a vertex of
+    their convex hull, and every hull vertex of a line arrangement is the
+    meet of two lines adjacent in slope order, taken cyclically (Atallah,
+    "Computing the convex hull of line intersections", J. Algorithms 1986).
+    Ladder angles increase with the label, so the placed labels are kept
+    ascending and each placed label keeps the vertex it shares with its
+    cyclic successor: with k lines placed the bound is the extreme of those
+    k candidates, and a new line costs two meets, O(n^2) in all.  The
+    intercept depends only on the extreme value, never on which candidate
+    attains it, so ties are harmless and the lines equal those of a scan
+    over every vertex.
+
     The lines are kept in the frame of the first one and the translations
     summed in the integer ``shift``: every translation is along x, so the
     bound of a vertex in the current frame is ``shift`` plus its bound in
-    the kept frame.  Each vertex is computed once, as an integer
-    homogeneous triple, when its second line is placed; the extreme bound is
-    found by integer cross-multiplication and rounded by floor division.
+    the kept frame.  Vertices are integer homogeneous triples; the extreme
+    bound is found by integer cross-multiplication and rounded by floor
+    division.
     """
     n = nom.n
     ladder = direction_ladder(n, variant)
     dirvec = {m: ladder_direction_vector(ladder[m - 1]) for m in range(1, n + 1)}
     placed: dict[int, object] = {}  # label -> line, in the first line's frame
-    verts: list[tuple[int, int, int]] = []  # vertices of the placed lines, same frame
+    order: list[int] = []  # the placed labels, ascending
+    succ_vert: dict[int, tuple[int, int, int]] = {}  # label -> meet with its cyclic successor
     shift = 0
     for pos in range(1, n + 1):
         label = nom.label_at(pos)
         want = nom.sign_at(pos)
         dx, dy = dirvec[label]
         a, b = dy, -dx
-        if not verts:
+        if not succ_vert:
             p = 1
         else:
             # bound of (X, Y, W) is x + (b/a)*y = (a*X + b*Y) / (a*W), a > 0, W > 0
             best_num, best_w = None, 1
-            for x, y, w in verts:
+            for x, y, w in succ_vert.values():
                 num = a * x + b * y
                 if best_num is None or want * (num * best_w - best_num * w) > 0:
                     best_num, best_w = num, w
@@ -274,7 +289,12 @@ def realize_nomenclature(nom: Nomenclature, variant: int = 0) -> Arrangement:
                 shift += 1 - p
                 p = 1
         new = line(a, b, a * (p - shift))
-        verts.extend(meet(new, ln) for ln in placed.values())
+        k = bisect_left(order, label)
+        if order:
+            pred, succ = order[k - 1], order[k % len(order)]
+            succ_vert[pred] = meet(placed[pred], new)
+            succ_vert[label] = succ_vert[pred] if succ == pred else meet(new, placed[succ])
+        order.insert(k, label)
         placed[label] = new
     arr = build_arrangement(ln.translated(shift, 0) for ln in placed.values())
     for m in range(1, n + 1):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from linearr import fuzzing
-from linearr.cli import cli_main
+from linearr.cli import _build_parser, cli_main
 from linearr.fileio import load_arrangement
 from linearr.svg import RenderSpec, svg_text
 
@@ -222,6 +222,27 @@ def test_usage_errors_exit_two(capsys):
     assert cli_main(["triangles", "--method", "bogus", "--nomenclature", SEVEN]) == 2
     assert cli_main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_consecutive_calls(capsys, tmp_path):
+    """The parser is built once per process; calls that share it keep their
+    exit codes and output, also after a usage error and an input error."""
+    assert _build_parser() is _build_parser()
+    path = str(tmp_path / "seven.arr")
+    assert cli_main(["realize", "--nomenclature", SEVEN, "-o", path]) == 0
+    calls = [
+        ["triangles", "--method", "bogus", "--nomenclature", SEVEN],
+        ["census", "-n", "5"],
+        ["analyze", path],
+        ["triangles", "--nomenclature", "1^+1 1^-1 2^+1", "--method", "thmB"],
+    ]
+    rounds = [[run(capsys, *argv) for argv in calls] for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    usage, census, analyze, bad = rounds[0]
+    assert usage[0] == 2 and "invalid choice" in usage[2]
+    assert census == (0, "valid cycles: 11 (formula 2^{n-1}-n = 11)\n", "")
+    assert analyze[0] == 0 and "triangles[thmB]: 1 2 3; 1 2 4; 1 6 7; 2 3 7; 5 6 7\n" in analyze[1]
+    assert bad[0] == 2 and "not-a-permutation" in bad[2]
 
 
 def test_bad_nomenclature_reports_code(capsys):

@@ -15,6 +15,8 @@ from linearr.geometry import (
     line,
     side,
 )
+from linearr.cyclicity import parse_cycle, realize_cycle
+from linearr.nomenclature import parse_nomenclature, realize_nomenclature
 
 
 def pt(x, y):
@@ -118,6 +120,26 @@ def test_direction_ladder_is_strictly_increasing(n, variant):
         lines.append(line(dy, -dx, 1))
     for a, b in zip(lines, lines[1:]):
         assert cmp_angle(a, b) == LESS
+
+
+@pytest.mark.parametrize("n, variant, code", [
+    (0, 0, "n-out-of-range"), (-3, 1, "n-out-of-range"), (5, 2, "bad-token"), (5, -1, "bad-token"),
+])
+def test_direction_ladder_rejects_bad_input_with_a_code(n, variant, code):
+    with pytest.raises(ArrangementError) as exc:
+        direction_ladder(n, variant)
+    assert exc.value.code == code
+
+
+@pytest.mark.parametrize("realize, text", [
+    (lambda t, v: realize_nomenclature(parse_nomenclature(t), v), "1^+1 2^-1 3^+1 5^-1 4^+1"),
+    (lambda t, v: realize_cycle(parse_cycle(t), v), "(1 3 4 2 5)"),
+], ids=["nomenclature", "cycle"])
+@pytest.mark.parametrize("variant", [2, -1, "1"])
+def test_realizers_reject_an_unknown_ladder_variant(realize, text, variant):
+    with pytest.raises(ArrangementError) as exc:
+        realize(text, variant)
+    assert exc.value.code == "bad-token"
 
 
 def test_ladder_entries_sit_on_the_unit_circle():

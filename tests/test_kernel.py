@@ -9,7 +9,9 @@ direct forms they replaced, which are kept here as references; so do the
 oracle, permutation and triangle classes read off the rows their cubic
 forms, ``missed_quadrant`` its sample-point form, the opposite-orders fuzz check
 its crossing-parameter form and the integer-intercept realizer the
-combinatorial type of the ``Fraction``-margin realizer.  A conventional
+combinatorial type of the ``Fraction``-margin realizer; the realizer's
+bound over slope-adjacent meets gives the lines of its scan over every
+vertex, with at most two meets per line.  A conventional
 input keeps the vertex table its build computed.  Each half-edge is
 walked at most once per arrangement, detection walks only line 1's zone,
 cached walks keep no reference cycle, concurrency errors name the least
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from linearr import arrangement
+from linearr import arrangement, nomenclature
 from linearr.arrangement import (
     Face,
     at_infinity_in_subset,
@@ -750,6 +752,34 @@ def realize_nomenclature_fraction_margin(nom, variant=0):
     return build_arrangement(ln.translated(shift, 0) for ln in placed)
 
 
+def realize_nomenclature_full_scan(nom, variant=0):
+    """``realize_nomenclature`` as it was before the hull candidates: the
+    extreme bound of each new line over every vertex of the placed lines."""
+    ladder = direction_ladder(nom.n, variant)
+    placed, verts = [], []
+    shift = 0
+    for pos in range(1, nom.n + 1):
+        want = nom.sign_at(pos)
+        dx, dy = ladder_direction_vector(ladder[nom.label_at(pos) - 1])
+        a, b = dy, -dx
+        p = 1
+        if verts:
+            best_num, best_w = None, 1
+            for x, y, w in verts:
+                num = a * x + b * y
+                if best_num is None or want * (num * best_w - best_num * w) > 0:
+                    best_num, best_w = num, w
+            den = a * best_w
+            p = shift + (best_num // den + 1 if want == 1 else -(-best_num // den) - 1)
+            if p <= 0:
+                shift += 1 - p
+                p = 1
+        new = line(a, b, a * (p - shift))
+        verts.extend(meet(new, ln) for ln in placed)
+        placed.append(new)
+    return build_arrangement(ln.translated(shift, 0) for ln in placed)
+
+
 def seeded_nomenclatures(n_values, seeds):
     for n in n_values:
         for seed in seeds:
@@ -793,3 +823,32 @@ def test_integer_intercepts_keep_the_combinatorial_type():
             ref = realize_nomenclature_fraction_margin(nom, variant)
             assert arr.order_rows == ref.order_rows
             assert [f.edges for f in bounded_faces(arr)] == [f.edges for f in bounded_faces(ref)]
+
+
+def test_hull_candidates_equal_the_full_scan():
+    """Every nomenclature up to n = 5, seeded ones at n = 6..40 and one each
+    at n = 80 and 160, in both ladder variants, give the same lines."""
+    cases = chain(
+        chain.from_iterable(all_nomenclatures(n) for n in range(3, 6)),
+        seeded_nomenclatures(range(6, 41), range(3)),
+        seeded_nomenclatures((80, 160), range(1)),
+    )
+    for nom in cases:
+        for variant in (0, 1):
+            got = realize_nomenclature(nom, variant).lines
+            assert got == realize_nomenclature_full_scan(nom, variant).lines, (str(nom), variant)
+
+
+def test_realizer_meets_each_new_line_with_two_neighbours(monkeypatch):
+    """The bound comes from the meets of slope-adjacent lines only: at most
+    two per new line, where the full scan made n(n - 1)/2 (12,720 at n = 160)."""
+    nom = next(seeded_nomenclatures([160], [0]))  # realizes it once, uncounted
+    calls = []
+
+    def counting_meet(l1, l2):
+        calls.append(None)
+        return meet(l1, l2)
+
+    monkeypatch.setattr(nomenclature, "meet", counting_meet)
+    realize_nomenclature(nom)
+    assert 0 < len(calls) <= 2 * nom.n
