@@ -31,7 +31,7 @@ from functools import cached_property, cmp_to_key
 from itertools import chain, combinations, groupby
 from operator import lt
 
-from .geometry import ArrangementError, Line, Point, cmp_angle, line, meet, side
+from .geometry import ArrangementError, Line, Point, cmp_angle, line, meet
 
 VertexKey = tuple[int, int]  # (i, j) with i < j, the pair of line ids
 Triangle = tuple[int, int, int]  # sorted line ids
@@ -209,8 +209,11 @@ def build_arrangement(raw) -> Arrangement:
     if len(lines) < 2:
         raise ArrangementError("too-few-lines", "an arrangement needs at least 2 lines")
 
-    _reject_parallel(lines)
-    lines.sort(key=cmp_to_key(cmp_angle))
+    given = lines
+    lines = sorted(given, key=cmp_to_key(cmp_angle))
+    # parallel lines share an angle, so they end up neighbours
+    if any(l1.a * l2.b == l2.a * l1.b for l1, l2 in zip(lines, lines[1:])):
+        _reject_parallel(given)
 
     # Crossing orders and side signs are translation invariant, so those of
     # the input lines, which the concurrency check computes anyway, serve the
@@ -540,13 +543,13 @@ def is_line_at_infinity_geom(arr: Arrangement, which) -> bool:
                 "degenerate-extension", f"external line is parallel to line {i}"
             )
     sides = set()
-    for v in arr.vertices.values():
-        s = side(ln, v)
+    for x, y, w in arr._vertex_homog.values():
+        s = ln.a * x + ln.b * y - ln.c * w  # the side's sign, as W > 0
         if s == 0:
             raise ArrangementError(
                 "degenerate-extension", "external line passes through a vertex"
             )
-        sides.add(s)
+        sides.add(s > 0)
     return len(sides) == 1
 
 

@@ -4,22 +4,20 @@ The anticlockwise boundary order of that n-gon, written from line 1, is the
 *gonality cycle*: a permutation (1 = a_1, a_2, ..., a_n) made of two
 increasing runs split at the unique descent r, with 1 < a_{r+1} < a_r.
 Everything here is about these cycles: validation, detection, the census,
-the combinatorial triangle list, exact realization, and reconstruction of a
-cycle from its triangle set.
+the combinatorial triangle list, exact realization, and the construction of
+the one cycle with a given triangle set, at any n.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arrangement import Arrangement, TriangleSet, bounded_faces, build_arrangement
 from .fileio import MAX_DIGITS
 from .geometry import ArrangementError, direction_ladder
 
 MAX_ENUM_N = 24
-MAX_RECONSTRUCT_N = 20
 
 
 @dataclass(frozen=True)
@@ -110,22 +108,20 @@ def cycle_triangles(c: GonalityCycle) -> TriangleSet:
     return out
 
 
-def enumerate_cycles(n: int) -> list[GonalityCycle]:
-    """All valid cycles on 1..n: choose the first ascending run as a subset
-    of {2..n}, append the rest ascending, keep what validates.  The count
-    always comes out 2^(n-1) - n."""
+def _cycles(n: int):
+    """The valid cycles on 1..n, unsorted: each subset of {2..n} as the
+    second run, the rest as the first.  The count is always 2^(n-1) - n."""
     if not (3 <= n <= MAX_ENUM_N):
         raise ArrangementError("n-out-of-range", f"census needs 3 <= n <= {MAX_ENUM_N}")
-    rest = list(range(2, n + 1))
-    out = []
-    for mask in range(1 << (n - 1)):
-        first = [1] + [x for k, x in enumerate(rest) if mask >> k & 1]
-        second = [x for k, x in enumerate(rest) if not mask >> k & 1]
-        c = validate_cycle(tuple(first + second))
+    for second in range(0, 2 << n, 4):  # bit v set iff label v is dealt second
+        c = validate_cycle(sorted(range(1, n + 1), key=lambda v: second >> v & 1))
         if c is not None:
-            out.append(c)
-    out.sort(key=lambda c: c.seq)
-    return out
+            yield c
+
+
+def enumerate_cycles(n: int) -> list[GonalityCycle]:
+    """All valid cycles on 1..n, sorted by ``seq``."""
+    return sorted(_cycles(n), key=lambda c: c.seq)
 
 
 def _unrank_cycle(n: int, k: int) -> GonalityCycle:
@@ -213,39 +209,43 @@ def detect_gonality_cycle(arr: Arrangement) -> GonalityCycle | None:
     return None
 
 
-_INDEXED_N = 14  # keep the reverse index in memory only while it stays small
-
-
-@lru_cache(maxsize=None)
-def _triangle_index(n: int) -> dict:
-    """Map from frozen triangle set to the unique cycle producing it."""
-    index: dict[frozenset, GonalityCycle] = {}
-    cycles = enumerate_cycles(n)
-    for c in cycles:
-        key = frozenset(cycle_triangles(c))
-        if key in index:
-            raise ArrangementError(
-                "internal-invariant", f"triangle sets collide: {index[key]} vs {c}"
-            )
-        index[key] = c
-    return index
-
-
 def reconstruct_cycle(triangles: TriangleSet, n: int) -> GonalityCycle | None:
     """The unique cycle whose triangle list equals ``triangles``, or None.
 
-    Exhaustive search over the census; exact and fast for n <= 20.  Small n
-    amortize repeated queries through a cached reverse index; larger n scan
-    the census directly to keep memory flat.
+    Labels 2..n are dealt in increasing order to the first run (holding 1)
+    or the second.  Runs ascend and each triple consecutive in a run is
+    listed, so a label joins a run of two or more only by closing a listed
+    triple with its last two; a full deal is checked by :func:`cycle_triangles`.
+    A list holds at most n triangles (n - 4 within the runs, four
+    wrap-around ones mixing them), so a larger set fails at once.
+
+    Whether a partial deal completes depends only on its state, the next
+    label and the first two and last two labels of each run: later triangles
+    read no other labels, and the next label with the runs shorter than two
+    fixes how many listed ones the deal holds.  A state is at most nine labels
+    and is expanded once, on an explicit stack, so the search is polynomial.
     """
-    if not (4 <= n <= MAX_RECONSTRUCT_N):
-        raise ArrangementError(
-            "n-out-of-range", f"reconstruction needs 4 <= n <= {MAX_RECONSTRUCT_N}"
-        )
-    key = frozenset(tuple(sorted(t)) for t in triangles)
-    if n <= _INDEXED_N:
-        return _triangle_index(n).get(key)
-    for c in enumerate_cycles(n):
-        if frozenset(cycle_triangles(c)) == key:
-            return c
+    if n < 4:
+        raise ArrangementError("n-out-of-range", "reconstruction needs n >= 4")
+    want = {tuple(sorted(t)) for t in triangles}
+    if len(want) > n:
+        return None
+    seen = set()
+    stack = [((2, ((1,), (1,)), ((), ())), 0)]  # (state, deal: bits as in _cycles)
+    while stack:
+        state, deal = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        x, first, second = state
+        if x > n:
+            c = validate_cycle(sorted(range(1, x), key=lambda v: deal >> v & 1))
+            if c is not None and cycle_triangles(c) == want:
+                return c
+            continue
+        for k, (head, tail) in ((1, second), (0, first)):  # first run popped first
+            if len(tail) < 2 or (*tail, x) in want:
+                runs = [first, second]
+                runs[k] = ((*head, x)[:2], (*tail, x)[-2:])
+                stack.append(((x + 1, *runs), deal | k << x))
     return None

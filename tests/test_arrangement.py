@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from linearr import arrangement
 from linearr.arrangement import (
     bounded_faces,
     build_arrangement,
@@ -14,7 +15,7 @@ from linearr.arrangement import (
     triangles_from_faces,
 )
 from linearr.fuzzing import vertex_quadrant_empty
-from linearr.geometry import ArrangementError, line
+from linearr.geometry import ArrangementError, line, side
 from linearr.nomenclature import parse_nomenclature, realize_nomenclature
 
 THREE = [(1, -1, 0), (1, 0, 1), (1, 1, 3)]
@@ -53,6 +54,26 @@ def test_build_rejects_parallel():
     with pytest.raises(ArrangementError) as err:
         build_arrangement([(1, -1, 0), (2, -2, 5), (1, 0, 1)])
     assert err.value.code == "parallel-lines"
+
+
+def test_parallel_pair_is_named_in_input_order():
+    # lines 2 and 4 are angle neighbours first; 1 and 5 come first in input
+    with pytest.raises(ArrangementError) as err:
+        build_arrangement([(1, 1, 9), (1, -1, 0), (1, 0, 1), (2, -2, 5), (1, 1, 3)])
+    assert "input lines 1 and 5 are parallel" in str(err.value)
+
+
+def test_valid_build_skips_the_pairwise_parallel_scan(monkeypatch):
+    # parallel lines are neighbours after the angle sort, so only a build
+    # with such a neighbour pair scans every pair for the message
+    def scan(lines):
+        raise AssertionError("pairwise parallel scan")
+
+    monkeypatch.setattr(arrangement, "_reject_parallel", scan)
+    build_arrangement(THREE)
+    realize_nomenclature(parse_nomenclature(SEVEN))
+    with pytest.raises(AssertionError):
+        build_arrangement([(1, -1, 0), (2, -2, 5), (1, 0, 1)])
 
 
 def test_build_rejects_concurrent_triple():
@@ -196,6 +217,20 @@ def test_external_degenerate_extensions(three):
     with pytest.raises(ArrangementError) as err:
         is_line_at_infinity_geom(three, line(1, 2, v.x + 2 * v.y))
     assert err.value.code == "degenerate-extension"
+
+
+def test_external_line_reads_the_integer_vertices(seven):
+    arr = realize_nomenclature(parse_nomenclature(SEVEN))
+    verdicts = set()
+    for a, b in ((1, 3), (2, -7), (5, 1)):
+        for c in (-10**6, 0, 30, 300, 3000, 10**6):
+            ln = line(a, b, c)
+            signs = {side(ln, v) for v in seven.vertices.values()}
+            assert 0 not in signs
+            verdicts.add(len(signs) == 1)
+            assert is_line_at_infinity_geom(arr, ln) is (len(signs) == 1)
+    assert verdicts == {True, False}
+    assert "vertices" not in arr.__dict__  # the Fraction table stays unfilled
 
 
 def test_corner_quadrant_characterization_agrees(three, seven):

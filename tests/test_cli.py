@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +69,17 @@ def test_census_range_error(capsys):
     code, _, err = run(capsys, "census", "-n", "40")
     assert code == 2
     assert "n-out-of-range" in err
+
+
+def test_census_counts_without_keeping_the_cycles(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "census", "-n", "15")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "valid cycles: 16369 (formula 2^{n-1}-n = 16369)\n")
+    assert peak < 1_000_000  # the 16369 cycles themselves take about 4.7 MB
 
 
 def test_infinity_line_false_gives_exit_one(capsys):

@@ -1,5 +1,13 @@
+"""Cycles: validation, the census, detection, realization and the
+construction of a cycle from its triangle list, which equals the census
+search it replaced (kept here as ``reconstruct_cycle_by_census``)."""
+
+import random
+from functools import lru_cache
+
 import pytest
 
+from linearr import cyclicity
 from linearr.arrangement import (
     bounded_faces,
     is_isomorphic_trivial,
@@ -189,9 +197,10 @@ def test_reconstruct_range_guard():
     with pytest.raises(ArrangementError) as err:
         reconstruct_cycle(set(), 3)
     assert err.value.code == "n-out-of-range"
-    with pytest.raises(ArrangementError) as err:
-        reconstruct_cycle(set(), 21)
-    assert err.value.code == "n-out-of-range"
+    # no upper limit: n = 21 answers
+    assert reconstruct_cycle(set(), 21) is None
+    c = _unrank_cycle(21, 2 ** 19)
+    assert reconstruct_cycle(cycle_triangles(c), 21) == c
 
 
 def test_realizations_isomorphic_iff_same_cycle():
@@ -212,9 +221,95 @@ def test_cycle_value_object():
 
 
 def test_reconstruct_beyond_the_indexed_range():
-    # n above the cached-index threshold takes the census-scan path
-    from linearr.cyclicity import _INDEXED_N
-
-    n = _INDEXED_N + 1
+    # n = 15, one past the sizes whose lists are checked pairwise distinct
+    n = 15
     c = enumerate_cycles(n)[123]
     assert reconstruct_cycle(cycle_triangles(c), n) == c
+
+
+@lru_cache(maxsize=None)
+def _census_index(n: int) -> dict:
+    """Each triangle list on n lines with the first cycle, in census order,
+    that has it."""
+    index = {}
+    for c in enumerate_cycles(n):
+        index.setdefault(frozenset(cycle_triangles(c)), c)
+    return index
+
+
+def reconstruct_cycle_by_census(triangles, n: int):
+    """The census search ``reconstruct_cycle`` replaced: the first cycle of
+    ``enumerate_cycles(n)`` whose triangle list equals ``triangles``."""
+    return _census_index(n).get(frozenset(tuple(sorted(t)) for t in triangles))
+
+
+def random_cycle(n: int, rng: random.Random) -> GonalityCycle:
+    """A uniformly drawn cycle on 1..n."""
+    while True:
+        second = rng.getrandbits(n + 1) & ~3  # bit v set: label v in the second run
+        c = validate_cycle(sorted(range(1, n + 1), key=lambda v: second >> v & 1))
+        if c is not None:
+            return c
+
+
+def test_triangle_lists_are_pairwise_distinct():
+    # the uniqueness theorem, exhaustively where the census is small
+    for n in range(4, 15):
+        assert len(_census_index(n)) == len(enumerate_cycles(n)) == 2 ** (n - 1) - n
+
+
+def test_reconstruct_equals_the_census_search_on_every_cycle():
+    for n in range(4, 14):
+        for c in enumerate_cycles(n):
+            triangles = cycle_triangles(c)
+            got = reconstruct_cycle(triangles, n)
+            assert got == reconstruct_cycle_by_census(triangles, n) == c
+
+
+def test_reconstruct_equals_the_census_search_on_perturbed_sets():
+    rng = random.Random(12)
+    answers = []
+    for n in range(4, 11):
+        cycles = enumerate_cycles(n)
+        for _ in range(100):
+            base = cycle_triangles(rng.choice(cycles))
+            dropped = base - {rng.choice(sorted(base))}
+            added = {tuple(sorted(rng.sample(range(1, n + 1), 3)))}
+            toggled = base ^ {rng.choice(sorted(cycle_triangles(rng.choice(cycles))))}
+            for triangles in (dropped, base | added, dropped | added, toggled):
+                got = reconstruct_cycle(triangles, n)
+                assert got == reconstruct_cycle_by_census(triangles, n)
+                answers.append(got)
+    assert len(answers) == 2800 and 0 < answers.count(None) < 2800
+
+
+def test_reconstruct_needs_no_census(monkeypatch):
+    def census(n):
+        raise AssertionError("census enumerated")
+
+    monkeypatch.setattr(cyclicity, "enumerate_cycles", census)
+    monkeypatch.setattr(cyclicity, "_cycles", census)
+    c = validate_cycle((1, 3, 4, 7, 2, 5, 6))
+    assert reconstruct_cycle(cycle_triangles(c), 7) == c
+
+
+@pytest.mark.parametrize("n", [21, 100, 1000, 2000])
+def test_reconstruct_random_cycles_at_large_n(n):
+    # 2000 labels: deeper than the default recursion limit
+    rng = random.Random(n)
+    for _ in range(3):
+        c = random_cycle(n, rng)
+        assert reconstruct_cycle(cycle_triangles(c), n) == c
+
+
+def test_reconstruct_rejects_the_chain_set():
+    # the costliest family known, about n^2 / 2 states
+    n = 200
+    assert reconstruct_cycle({(x - 2, x - 1, x) for x in range(3, n + 1)}, n) is None
+
+
+def test_reconstruct_rejects_sets_no_list_can_be():
+    assert reconstruct_cycle(set(), 10 ** 9) is None
+    c = validate_cycle((1, 3, 4, 2, 5))
+    assert reconstruct_cycle(cycle_triangles(c) | {(1, 2, 3), (1, 4, 5)}, 5) is None
+    assert reconstruct_cycle({(1, 2, 6)}, 5) is None  # a label beyond n
