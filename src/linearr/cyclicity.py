@@ -17,7 +17,7 @@ from .arrangement import Arrangement, TriangleSet, bounded_faces, build_arrangem
 from .fileio import MAX_DIGITS
 from .geometry import ArrangementError, direction_ladder
 
-MAX_ENUM_N = 24
+MAX_ENUM_N = 20
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,19 @@ def cycle_triangles(c: GonalityCycle) -> TriangleSet:
     return out
 
 
+def _deal(n: int, second: int) -> GonalityCycle | None:
+    """The cycle dealing label v to the second run iff bit v of ``second`` is
+    set, each run ascending; None for the n deals whose first run is {1..k}."""
+    return validate_cycle(sorted(range(1, n + 1), key=lambda v: second >> v & 1))
+
+
 def _cycles(n: int):
     """The valid cycles on 1..n, unsorted: each subset of {2..n} as the
     second run, the rest as the first.  The count is always 2^(n-1) - n."""
     if not (3 <= n <= MAX_ENUM_N):
         raise ArrangementError("n-out-of-range", f"census needs 3 <= n <= {MAX_ENUM_N}")
-    for second in range(0, 2 << n, 4):  # bit v set iff label v is dealt second
-        c = validate_cycle(sorted(range(1, n + 1), key=lambda v: second >> v & 1))
+    for second in range(0, 2 << n, 4):
+        c = _deal(n, second)
         if c is not None:
             yield c
 
@@ -122,37 +128,6 @@ def _cycles(n: int):
 def enumerate_cycles(n: int) -> list[GonalityCycle]:
     """All valid cycles on 1..n, sorted by ``seq``."""
     return sorted(_cycles(n), key=lambda c: c.seq)
-
-
-def _unrank_cycle(n: int, k: int) -> GonalityCycle:
-    """``enumerate_cycles(n)[k]``, built digit by digit without the census.
-
-    A cycle is its first run F (1 first, ascending), then the rest ascending,
-    and it is valid iff F minus 1 is not {2..max F}.  In ``seq`` order, after
-    the digits of F chosen so far, closing the run comes first (its next digit
-    is the least label left, below max F), then each continuation v > max F,
-    which has 2^(n-v) completions less the n-v+1 invalid ones when F with v
-    is still {1..v}.
-    """
-    rank = k
-    first = [1]
-    initial = True  # first == [1, 2, ..., first[-1]]
-    while True:
-        if not initial:
-            if k == 0:
-                rest = [x for x in range(2, n + 1) if x not in first]
-                return GonalityCycle(tuple(first + rest), len(first))
-            k -= 1
-        for v in range(first[-1] + 1, n + 1):
-            grows = initial and v == first[-1] + 1
-            count = 2 ** (n - v) - (n - v + 1 if grows else 0)
-            if k < count:
-                first.append(v)
-                initial = grows
-                break
-            k -= count
-        else:
-            raise ArrangementError("n-out-of-range", f"no cycle of rank {rank} on {n} lines")
 
 
 def realize_cycle(c: GonalityCycle, variant: int = 0) -> Arrangement:
@@ -231,7 +206,7 @@ def reconstruct_cycle(triangles: TriangleSet, n: int) -> GonalityCycle | None:
     if len(want) > n:
         return None
     seen = set()
-    stack = [((2, ((1,), (1,)), ((), ())), 0)]  # (state, deal: bits as in _cycles)
+    stack = [((2, ((1,), (1,)), ((), ())), 0)]  # (state, deal: bits as in _deal)
     while stack:
         state, deal = stack.pop()
         if state in seen:
@@ -239,7 +214,7 @@ def reconstruct_cycle(triangles: TriangleSet, n: int) -> GonalityCycle | None:
         seen.add(state)
         x, first, second = state
         if x > n:
-            c = validate_cycle(sorted(range(1, x), key=lambda v: deal >> v & 1))
+            c = _deal(n, deal)
             if c is not None and cycle_triangles(c) == want:
                 return c
             continue

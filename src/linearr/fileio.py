@@ -109,4 +109,8 @@ def save_arrangement(arr: Arrangement, path) -> None:
 
 def load_arrangement(path) -> Arrangement:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_arrangement(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ArrangementError("bad-file", f"non-ASCII byte at offset {exc.start}") from None
+    return parse_arrangement(text)

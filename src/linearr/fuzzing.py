@@ -10,8 +10,10 @@ algorithm that any implementation on any platform reproduces bit for bit:
 
 Bounded draws are ``value % k`` (the modulo bias is irrelevant here and the
 rule is trivial to mirror); shuffles are Fisher-Yates from the top index
-down.  Per-trial seeds are derived, never shared, so trials are independent
-and could run concurrently; the report only depends on the configuration.
+down; a wider mask takes one value per 64 bits, lowest bits first, so a
+cycle on n labels reads one value per 64 labels.  Per-trial seeds are
+derived, never shared, so trials are independent and could run concurrently;
+the report only depends on the configuration.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .arrangement import (
 )
 from .cyclicity import (
     GonalityCycle,
-    _unrank_cycle,
+    _deal,
     cycle_triangles,
     detect_gonality_cycle,
     parse_cycle,
@@ -59,6 +61,7 @@ from .nomenclature import (
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BOX = 32  # gen_generic's coefficient box: a in 1.._BOX, b and c in -_BOX.._BOX
 
 FAMILIES = ("generic", "infinity", "cyclic")
 
@@ -112,24 +115,25 @@ def gen_infinity_type(n: int, seed: int) -> tuple[Nomenclature, Arrangement]:
 
 
 def gen_cyclic(n: int, seed: int) -> tuple[GonalityCycle, Arrangement]:
-    """A uniformly drawn gonality cycle and its realization."""
+    """A uniformly drawn gonality cycle and its realization.
+
+    Bit x - 2 of a random mask deals label x to the first run; the mask takes
+    one ``next_u64()`` word per 64 labels, lowest labels first, so word k
+    deals labels 64k + 2 .. 64k + 65.  The n deals whose first run is {1..k}
+    are no cycles and are drawn again, so every one of the 2^(n-1) - n cycles
+    is equally likely.
+    """
     if n < 4:
         raise ArrangementError("n-out-of-range", "cyclic family needs n >= 4")
     rng = SplitMix64(seed)
-    if n <= 20:
-        cycle = _unrank_cycle(n, rng.below(2 ** (n - 1) - n))
-    else:
-        while True:  # rejection on the first-run subset; almost always accepts
-            mask = rng.next_u64()
-            first = [1] + [x for x in range(2, n + 1) if mask >> (x - 2) & 1]
-            second = [x for x in range(2, n + 1) if not mask >> (x - 2) & 1]
-            cycle = validate_cycle(tuple(first + second))
-            if cycle is not None:
-                break
-    return cycle, realize_cycle(cycle)
+    while True:
+        first = sum(rng.next_u64() << 64 * k for k in range((n + 62) // 64))
+        cycle = _deal(n, (~first << 2) & ((2 << n) - 4))  # labels 2..n not first
+        if cycle is not None:
+            return cycle, realize_cycle(cycle)
 
 
-def gen_generic(n: int, seed: int, box: int = 32) -> Arrangement:
+def gen_generic(n: int, seed: int) -> Arrangement:
     """Random rational lines in a coefficient box, rejection-sampled into
     general position (the negative-control family)."""
     if n < 3:
@@ -138,9 +142,9 @@ def gen_generic(n: int, seed: int, box: int = 32) -> Arrangement:
     lines: list[Line] = []
     verts = []  # meet() of every pair of accepted lines
     while len(lines) < n:
-        a = 1 + rng.below(box)
-        b = rng.below(2 * box + 1) - box
-        c = rng.below(2 * box + 1) - box
+        a = 1 + rng.below(_BOX)
+        b = rng.below(2 * _BOX + 1) - _BOX
+        c = rng.below(2 * _BOX + 1) - _BOX
         cand = line(a, b, c)
         if any(cand.a * ln.b == ln.a * cand.b for ln in lines):
             continue

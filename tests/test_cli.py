@@ -134,6 +134,19 @@ def test_analyze_cyclic_file_shows_cycle_and_thma(capsys, tmp_path):
     assert "triangles[thmA]: 1 2 3; 1 2 4\n" in out
 
 
+def test_commands_reject_a_non_ascii_file(capsys, tmp_path):
+    path = tmp_path / "accent.arr"
+    path.write_bytes("# café\narr v1 n=3\n1 1 -1 1\n2 1 0 2\n3 1 1 4\n".encode("utf-8"))
+    for argv in (
+        ["analyze", str(path)],
+        ["triangles", str(path), "--method", "oracle"],
+        ["render", str(path), "-o", str(tmp_path / "x.svg")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: bad-file: non-ASCII byte at offset 5\n"
+
+
 def test_analyze_rejects_bad_file(capsys, tmp_path):
     path = tmp_path / "bad.arr"
     path.write_text("arr v1 n=2\n1 1 1 3\n2 1 -1 0\n")

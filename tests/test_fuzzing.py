@@ -60,6 +60,39 @@ def test_gen_cyclic_large_n_uses_rejection():
     assert cycle.n == 22 and arr.n == 22
 
 
+def _one_word_draw(n, seed):
+    """The cycle draw ``gen_cyclic`` used above n = 20 before it served
+    every n: one ``next_u64()`` mask per try, bit x - 2 for label x."""
+    rng = SplitMix64(seed)
+    while True:
+        mask = rng.next_u64()
+        first = [1] + [x for x in range(2, n + 1) if mask >> (x - 2) & 1]
+        second = [x for x in range(2, n + 1) if not mask >> (x - 2) & 1]
+        cycle = validate_cycle(tuple(first + second))
+        if cycle is not None:
+            return cycle
+
+
+def test_gen_cyclic_equals_the_one_word_draw_up_to_65_labels(monkeypatch):
+    monkeypatch.setattr(fz, "realize_cycle", lambda cycle: None)
+    for n in range(4, 66):
+        for seed in (0, 1, 7, 12345, 2 ** 63 + 5):
+            assert gen_cyclic(n, seed)[0] == _one_word_draw(n, seed)
+
+
+def test_gen_cyclic_deals_every_label_to_both_runs_at_n70(monkeypatch):
+    # labels 66..70 come from a second word; one word never dealt them first
+    monkeypatch.setattr(fz, "realize_cycle", lambda cycle: None)
+    n = 70
+    runs = {x: set() for x in range(2, n + 1)}
+    for seed in range(40):
+        cycle = gen_cyclic(n, seed)[0]
+        for k, x in enumerate(cycle.seq):
+            if x != 1:
+                runs[x].add(k < cycle.r)
+    assert all(seen == {True, False} for seen in runs.values())
+
+
 def test_config_validation():
     with pytest.raises(ArrangementError):
         FuzzConfig(seed=0, trials=1, n_min=3, n_max=5, family="cyclic")
