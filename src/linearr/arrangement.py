@@ -11,25 +11,27 @@ With positive x intercepts the origin sits on side -1 of every line, so
 sign; all derived combinatorics are translation invariant.
 
 Every predicate here runs on the integer kernel: vertices are integer
-homogeneous triples (X, Y, W) with W > 0, and face orientation is the sign
-of a 3x3 integer determinant.  The kernel is built from the rows: one exact
-sort per line, by one integer key per vertex, gives the crossing order of
-every line (its local sequence) in O(n^2 log n), and a prefix mask along
-each row gives the side signs of all lines at each vertex as one int, bit m
-for line m.  The triangle oracle and the face walk are read off these bits.
-The walk starts from line 1 and resumes line by line, so the gonality
-cycle is found in line 1's zone.  :class:`fractions.Fraction` appears
+homogeneous triples (X, Y, W) with W > 0.  The kernel is one sweep: one
+exact sort of all vertices, by one integer key per vertex, gives the order
+in which a horizontal line moving upwards meets them, and restricted to a
+line that order is the line's crossing order (its local sequence), in
+O(n^2 log n).  A prefix mask along each row gives the side signs of all
+lines at each vertex as one int, bit m for line m.  The triangle oracle
+reads these bits; the bounded faces read the sweep, since the popcount of
+a vertex's bits is its level, and every bounded face runs from one
+crossing at its level to the next.  :class:`fractions.Fraction` appears
 only in the two offsets of the translation into conventional position and
-in the ``vertices`` table and error texts offered to callers.
+in error texts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import chain, combinations, groupby
-from operator import lt
+from itertools import chain, combinations, compress, count
+from operator import eq
 
 from .geometry import ArrangementError, Line, Point, cmp_angle, line, meet
 
@@ -39,24 +41,22 @@ TriangleSet = set  # of Triangle
 Rows = tuple[tuple[int, ...], ...]  # row i - 1: the other ids in crossing order
 
 
-def _vkey(i: int, j: int) -> VertexKey:
-    return (i, j) if i < j else (j, i)
-
-
 class Arrangement:
     """Immutable container for the lines plus their derived tables.
 
     Construct through :func:`build_arrangement`, which validates, angle-sorts
     and conventionally embeds the lines and hands over their tables: each
-    vertex as an integer triple (X, Y, W) with W > 0, the ``order_rows`` (row
-    i - 1: the other ids along line i's conventional orientation) and the
-    side bits (bit m of vertex (i, j) is set iff line m has side +1 there;
-    read single signs through :meth:`side_at`).
+    vertex as an integer triple (X, Y, W) with W > 0, the sweep order of the
+    vertices (bottom to top), the ``order_rows`` (row i - 1: the other ids
+    along line i's conventional orientation) and the side bits (bit m of
+    vertex (i, j) is set iff line m has side +1 there; read single signs
+    through :meth:`side_at`).
     """
 
-    def __init__(self, lines: tuple[Line, ...], homog: dict, rows: Rows, bits: dict):
+    def __init__(self, lines: tuple[Line, ...], homog, order, rows: Rows, bits):
         self.lines = lines
         self._vertex_homog = homog
+        self._sweep_order = order
         self.order_rows = rows
         self._side_bits = bits
 
@@ -80,16 +80,6 @@ class Arrangement:
     def __repr__(self) -> str:
         return f"Arrangement(n={self.n})"
 
-    @cached_property
-    def vertices(self) -> dict[VertexKey, Point]:
-        return {
-            k: Point(Fraction(x, w), Fraction(y, w))
-            for k, (x, y, w) in self._vertex_homog.items()
-        }
-
-    def vertex(self, i: int, j: int) -> Point:
-        return self.vertices[_vkey(i, j)]
-
     def side_at(self, m: int, i: int, j: int) -> int:
         """Side sign of line m at the vertex of lines i and j (m not in {i,j})."""
         key = (i, j) if i < j else (j, i)
@@ -101,16 +91,23 @@ class Arrangement:
         return -1
 
     @cached_property
-    def _face_walk(self) -> _FaceWalk:
+    def _levels(self) -> tuple[list, list]:
+        """The crossings of each level and their sweep times (see
+        :func:`_sweep_levels`)."""
         if self.n < 3:
             raise ArrangementError("too-few-lines", "faces need at least 3 lines")
-        return _FaceWalk(self.order_rows, self._side_bits, self._vertex_homog)
+        return _sweep_levels(self.n, self._sweep_order, self._side_bits)
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         """The bounded faces, sorted by size then edges; read them through
         :func:`bounded_faces`."""
-        return tuple(sorted(self._face_walk.through(self.n), key=_face_order))
+        levels, times = self._levels
+        return tuple(sorted(
+            (_face(levels, times, g, a) for g, level in enumerate(levels)
+             for a in range(len(level) - 1)),
+            key=_face_order,
+        ))
 
 
 def _homogeneous_vertices(lines) -> dict[VertexKey, tuple[int, int, int]]:
@@ -121,19 +118,23 @@ def _homogeneous_vertices(lines) -> dict[VertexKey, tuple[int, int, int]]:
     }
 
 
-def _rows_and_bits_of(lines, homog) -> tuple[Rows, dict[VertexKey, int]]:
-    """The crossing orders and side bits of ``lines`` (ids from 1) with
-    vertices ``homog``, from one exact sort per line.
+def _sweep(lines, homog) -> tuple[list[VertexKey], Rows, dict[VertexKey, int]]:
+    """The sweep order, crossing orders and side bits of ``lines`` (ids from
+    1) with vertices ``homog`` (in combination order), from one exact sort of
+    all vertices.
 
-    Every line is non-horizontal and runs towards increasing y, so each row
-    sorts its crossings by y.  A vertex (X, Y, W) gets the key
-    ``(Y << s) // W`` with ``s = 2 * bitlen(max W) + 1``: two distinct
-    values Y/W differ by at least 1 / (W1 * W2) > 2**-s, which the shift
-    scales past 1, so the keys order the crossings exactly, and one key
-    serves both rows of the vertex.  Two crossings on one line share a key
-    iff they are one point, so equal neighbours in a sorted row are exactly
-    the concurrencies; the least concurrent triple in combination order is
-    reported.
+    Every line is non-horizontal and runs towards increasing y, so a
+    horizontal line moving upwards meets the crossings of each line in the
+    line's own order.  A vertex (X, Y, W) gets the key ``(Y << s) // W``
+    with ``s = 2 * bitlen(max W) + 1``: two distinct values Y/W differ by at
+    least 1 / (W1 * W2) > 2**-s, which the shift scales past 1, so the keys
+    order the vertices exactly.  Sorted by key, ties in combination order,
+    the vertices are the sweep order, and each row is that order restricted
+    to its line.  Equal keys are crossings at one height, and two of them
+    on one line are one point; the crossings of lines a < b < c < ... at one
+    point come as neighbours (a, b), (a, c), so neighbours with equal keys
+    and equal first ids are exactly the concurrencies, and give the least
+    concurrent triple in combination order.
 
     The side sign of line k grows along line i iff k > i (the ids follow the
     direction angle) and is 0 at V_ik.  So line k has side +1 at V_ij iff
@@ -146,37 +147,32 @@ def _rows_and_bits_of(lines, homog) -> tuple[Rows, dict[VertexKey, int]]:
         )
     n = len(lines)
     shift = 2 * max(w for _, _, w in homog.values()).bit_length() + 1
-    keys = [[0] * (n + 1) for _ in range(n + 1)]  # keys[i][j] of V_ij, both ways
-    for (i, j), (_, y, w) in homog.items():
-        keys[i][j] = keys[j][i] = (y << shift) // w
-    rows = []
-    bits = {}
-    tied = []
-    for i in range(1, n + 1):
-        key = keys[i].__getitem__
-        row = sorted(chain(range(1, i), range(i + 1, n + 1)), key=key)
-        ordered = [key(j) for j in row]
-        if not all(map(lt, ordered, ordered[1:])):
-            tied.append(i)
-        low = (1 << i) - 2
-        before = 0
-        for j in row:
-            if j > i:
-                bits[(i, j)] = before ^ low
-            before |= 1 << j
-        rows.append(tuple(row))
-    if tied:
-        # a run of equal keys in row i: line i and the run share one point
-        i, j, k = min(
-            tuple(sorted([i, *run])[:3])
-            for i in tied
-            for run in (list(g) for _, g in groupby(rows[i - 1], keys[i].__getitem__))
-            if len(run) > 1
-        )
+    verts = list(homog)
+    heights = [(y << shift) // w for _, y, w in homog.values()]
+    ranks = sorted(range(len(verts)), key=heights.__getitem__)
+    order = list(map(verts.__getitem__, ranks))
+    keys = list(map(heights.__getitem__, ranks))
+    concurrent = [
+        (*order[t], order[t + 1][1])
+        for t in compress(count(), map(eq, keys, keys[1:]))
+        if order[t][0] == order[t + 1][0]
+    ]
+    if concurrent:
+        i, j, k = min(concurrent)
         x, y, w = homog[(i, j)]
         v = Point(Fraction(x, w), Fraction(y, w))
         raise ArrangementError("concurrent-triple", f"lines {i},{j},{k} pass through {v}")
-    return tuple(rows), bits
+    rows = [[] for _ in range(n + 1)]
+    before = [0] * (n + 1)  # before[i]: the ids met so far in row i
+    bits = {}
+    for v in order:
+        i, j = v
+        bits[v] = before[i] ^ ((1 << i) - 2)
+        before[i] |= 1 << j
+        before[j] |= 1 << i
+        rows[i].append(j)
+        rows[j].append(i)
+    return order, tuple(map(tuple, rows[1:])), bits
 
 
 def _reject_parallel(lines) -> None:
@@ -215,32 +211,35 @@ def build_arrangement(raw) -> Arrangement:
     if any(l1.a * l2.b == l2.a * l1.b for l1, l2 in zip(lines, lines[1:])):
         _reject_parallel(given)
 
-    # Crossing orders and side signs are translation invariant, so those of
-    # the input lines, which the concurrency check computes anyway, serve the
-    # translated ones.
+    # The sweep order, crossing orders and side signs are translation
+    # invariant, so those of the input lines, which the concurrency check
+    # computes anyway, serve the translated ones.
     homog = _homogeneous_vertices(lines)
-    rows, bits = _rows_and_bits_of(lines, homog)
+    order, rows, bits = _sweep(lines, homog)
 
-    # ty lifts the lowest vertex to y = 1, then tx moves the leftmost vertex
-    # or x intercept to x = 1; each is needed only when that bound is <= 0.
-    # Along a non-horizontal line y and x are both monotone in row order, so
-    # the extremes sit at the two ends of each row.
-    ends = [
-        homog[_vkey(i, j)] for i, row in enumerate(rows, 1) for j in (row[0], row[-1])
-    ]
-    min_vy = Fraction(*_least((y, w) for _, y, w in ends))
-    ty = 1 - min_vy if min_vy <= 0 else 0
-    p, q = ty.numerator, ty.denominator
+    # ty lifts the lowest vertex, the first of the sweep, to y = 1, then tx
+    # moves the leftmost vertex or x intercept to x = 1; each is needed only
+    # when that bound is <= 0.  Along a non-horizontal line x is monotone in
+    # row order, so the leftmost vertex sits at an end of a row.
+    _, y, w = homog[order[0]]
+    ty = 1 - Fraction(y, w) if y <= 0 else 0
+    r, s = ty.numerator, ty.denominator
     min_x = Fraction(*_least(chain(
-        ((x, w) for x, _, w in ends),
-        ((ln.c * q + ln.b * p, ln.a * q) for ln in lines),
+        (
+            homog[(i, j) if i < j else (j, i)][::2]  # (X, W) of each row end
+            for i, row in enumerate(rows, 1)
+            for j in (row[0], row[-1])
+        ),
+        ((ln.c * s + ln.b * r, ln.a * s) for ln in lines),
     )))
     tx = 1 - min_x if min_x <= 0 else 0
     if tx or ty:
-        # the vertices move too
+        # the vertices move too: (X/W + p/q, Y/W + r/s), over the denominator Wqs
+        p, q = tx.numerator, tx.denominator
+        qs, ps, rq = q * s, p * s, r * q
         lines = [ln.translated(tx, ty) for ln in lines]
-        homog = _homogeneous_vertices(lines)
-    arr = Arrangement(tuple(lines), homog, rows, bits)
+        homog = {v: (x * qs + ps * w, y * qs + rq * w, w * qs) for v, (x, y, w) in homog.items()}
+    arr = Arrangement(tuple(lines), homog, order, rows, bits)
     if not all(x > 0 and y > 0 for x, y, _ in homog.values()):
         raise ArrangementError(
             "internal-invariant", "a vertex lies outside the open first quadrant"
@@ -329,130 +328,97 @@ class Face:
 
 
 def bounded_faces(arr: Arrangement, zone: int | None = None) -> list[Face]:
-    """All bounded faces via anticlockwise half-edge traversal, sorted by
-    size then edges; with ``zone``, only those with an edge on line ``zone``.
+    """All bounded faces, read off the sweep and sorted by size then edges;
+    with ``zone``, only those with an edge on line ``zone``.
 
-    A half-edge runs along one line between two consecutive crossings.  Only
-    two lines meet at each vertex of a simple arrangement, so the face on the
-    left of a half-edge continues at its end vertex by turning left onto the
-    other line there.  A walk that runs off the end of a crossing order has
-    reached a ray and belongs to an unbounded face.  The walk runs at most
-    once per half-edge and arrangement (see :class:`_FaceWalk`); later calls
-    return a fresh list of the same faces.
+    Each bounded face lies between the wires at two adjacent positions and
+    runs from one crossing of theirs to the next (Edelsbrunner & Guibas,
+    "Topologically sweeping an arrangement", 1989; see :func:`_face`).  The
+    faces are built once per arrangement; later calls return a fresh list of
+    the same faces.
 
-    ``zone`` walks the starts of lines 1..zone only, so ``zone=1`` costs the
-    O(n) half-edges of line 1's zone (the zone theorem) against O(n^2) for
-    all faces; a later call resumes the same walk.
+    ``zone`` builds only the faces beside each bounded segment of line k =
+    ``zone``: after crossing V_kx at level g, line k is the wire at position
+    g + 1 if k < x, else at g, so the faces on its two sides are those of
+    levels g and g + 1, or g - 1 and g, that are open at that crossing's
+    sweep time.  That is at most 2(n - 2) faces, against (n - 1)(n - 2) / 2
+    for all.
     """
     if zone is None:
         return list(arr.faces)
     if not 0 < zone <= arr.n:
         raise ArrangementError("bad-position", f"line {zone} outside 1..{arr.n}")
-    found = arr._face_walk.through(zone)
-    return sorted((f for f in found if zone in f.line_ids), key=_face_order)
+    levels, times = arr._levels
+    bits = arr._side_bits
+    found = []
+    for x in arr.order_rows[zone - 1][:-1]:  # the segment after each crossing but the last
+        u = (zone, x) if zone < x else (x, zone)
+        g = bits[u].bit_count()
+        t = times[g][levels[g].index(u)]
+        for h in (g, g + 1) if zone < x else (g - 1, g):
+            a = bisect(times[h], t) - 1
+            if 0 <= a < len(times[h]) - 1:
+                found.append(_face(levels, times, h, a))
+    return sorted(found, key=_face_order)
 
 
 def _face_order(f: Face) -> tuple:
     return (len(f), f.edges)
 
 
-def _orientation(p, q, r) -> int:
-    """The 3x3 determinant of three homogeneous points with W > 0: positive
-    iff p, q, r turn anticlockwise."""
-    (px, py, pw), (qx, qy, qw), (rx, ry, rw) = p, q, r
-    return (
-        px * (qy * rw - qw * ry)
-        - py * (qx * rw - qw * rx)
-        + pw * (qx * ry - qy * rx)
-    )
+def _sweep_levels(n: int, order, bits) -> tuple[list, list]:
+    """The crossings of each level g, in sweep order, and their sweep times.
 
+    Wires start in id order, their x order at y = -inf (the ids follow the
+    direction angle), and wire i moves right past higher ids and left past
+    lower ones.  So just before it crosses j > i, wire i is at 0-based
+    position (i - 1) + #higher ids crossed - #lower ids crossed, which is
+    the popcount of the side bits of V_ij: that crossing swaps the wires at
+    positions g and g + 1, at level g.  The pass checks that the wires there
+    are i and j, in that order, which ties the exact sweep order to the side
+    bits.
 
-class _FaceWalk:
-    """The face walk of one arrangement, resumable line by line.
-
-    Half-edge (i, p, s) leaves the crossing at index p of row i towards index
-    p + s.  Arriving at V_ij along line i it turns left onto line j, whose
-    direction lies anticlockwise of line i's iff j > i; so the step keeps its
-    sign for i < j and flips it for i > j.  The index of i in row j counts
-    the lines crossing j before i, read off the side bits of V_ij as in
-    :func:`_rows_and_bits_of`, so a walk costs only the half-edges it visits.
-
-    Starts are taken line by line, line 1 first.  Walking the starts of line
-    1 alone finds every bounded face with an edge on line 1, the zone of line
-    1, at O(n) half-edges by the zone theorem; :meth:`through` resumes with
-    later lines, and no half-edge is walked twice.
-
-    A closed walk is a convex polygon (faces of a line arrangement are
-    convex), so it is a bounded face traversed anticlockwise exactly when
-    every corner turns anticlockwise, which is checked on the integer
-    vertices and is at least as strict as a positive area.
-
-    The walk holds the arrangement's tables, never the arrangement, so the
-    arrangement that caches it forms no reference cycle.
+    Levels run 0..n - 2; one more empty level, which index -1 also reads,
+    gives each level a neighbour on both sides.
     """
+    at = list(range(1, n + 1))  # the wire at each position
+    levels = [[] for _ in range(n)]
+    times = [[] for _ in range(n)]
+    for t, v in enumerate(order):
+        g = bits[v].bit_count()
+        i, j = v
+        if g > n - 2 or at[g] != i or at[g + 1] != j:
+            raise ArrangementError(
+                "internal-invariant",
+                f"the sweep meets V_{i},{j} at level {g}, between wires {at[g:g + 2]}",
+            )
+        at[g], at[g + 1] = j, i
+        levels[g].append(v)
+        times[g].append(t)
+    return levels, times
 
-    __slots__ = ("rows", "bits", "homog", "seen", "faces", "lines_done")
 
-    def __init__(self, rows, bits, homog):
-        self.rows = (None,) + rows
-        self.bits = bits
-        self.homog = homog
-        self.seen = set()
-        self.faces = []  # in the order found
-        self.lines_done = 0
+def _face(levels, times, g: int, a: int) -> Face:
+    """The bounded face of level g from its crossing a to crossing a + 1.
 
-    def through(self, last_line: int) -> list[Face]:
-        """Walk the starts of lines up to ``last_line`` not walked yet; the
-        faces found so far, in the order found (callers must not modify)."""
-        rows, bits, seen = self.rows, self.bits, self.seen
-        last = len(rows) - 3  # the highest index of a row
-        for m in range(self.lines_done + 1, last_line + 1):
-            for start in ((m, p, s) for p in range(last + 1) for s in (1, -1)):
-                if start in seen or not 0 <= start[1] + start[2] <= last:
-                    continue
-                cycle = []
-                h = start
-                while True:
-                    seen.add(h)
-                    cycle.append(h)
-                    i, p, s = h
-                    j = rows[i][p + s]
-                    if i < j:
-                        h = (j, (bits[(i, j)] ^ ((1 << j) - 2)).bit_count() - 1, s)
-                    else:
-                        h = (j, (bits[(j, i)] ^ ((1 << j) - 2)).bit_count(), -s)
-                    if h == start or h in seen or not 0 <= h[1] + h[2] <= last:
-                        break
-                if h == start:
-                    self.faces.append(self._face(cycle))
-            self.lines_done = m
-        if self.lines_done == len(rows) - 1:
-            seen.clear()  # every start is walked; hold no half-edges any longer
-        return self.faces
-
-    def _face(self, cycle) -> Face:
-        rows, homog = self.rows, self.homog
-        edges = []
-        i, p, _ = cycle[-2]
-        j = rows[i][p]
-        u = homog[(i, j) if i < j else (j, i)]
-        i, p, _ = cycle[-1]
-        j = rows[i][p]
-        v = homog[(i, j) if i < j else (j, i)]
-        # each step tests the corner at v, between the previous corner u and w
-        for i, p, _ in cycle:
-            j = rows[i][p]
-            vk = (i, j) if i < j else (j, i)
-            edges.append((i, vk))
-            w = homog[vk]
-            if not _orientation(u, v, w) > 0:
-                raise ArrangementError(
-                    "internal-invariant",
-                    f"face walk {cycle} is not an anticlockwise convex polygon",
-                )
-            u, v = v, w
-        k = edges.index(min(edges))
-        return Face(tuple(edges[k:] + edges[:k]))
+    Its anticlockwise corners are the lower crossing u, the crossings of
+    level g + 1 between u and the upper crossing w in sweep order (its right
+    chain), w, and those of level g - 1 between them in reverse (its left
+    chain).  Each edge lies on the line its corner shares with the next, and
+    the edges start at the least one.
+    """
+    t0, t1 = times[g][a], times[g][a + 1]
+    right, left = times[g + 1], times[g - 1]
+    corners = [levels[g][a]]
+    corners += levels[g + 1][bisect(right, t0):bisect(right, t1)]
+    corners.append(levels[g][a + 1])
+    corners += reversed(levels[g - 1][bisect(left, t0):bisect(left, t1)])
+    edges = [
+        (i if i in nxt else j, (i, j))
+        for (i, j), nxt in zip(corners, corners[1:] + corners[:1])
+    ]
+    k = edges.index(min(edges))
+    return Face(tuple(edges[k:] + edges[:k]))
 
 
 def triangles_from_faces(arr: Arrangement) -> TriangleSet:

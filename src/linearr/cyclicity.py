@@ -167,8 +167,8 @@ def detect_gonality_cycle(arr: Arrangement) -> GonalityCycle | None:
     boundary order from line 1; None when no such face exists.
 
     Such a face has an edge on line 1, so only the faces of line 1's zone
-    are walked (``bounded_faces(arr, zone=1)``); of several n-gons the first
-    in :func:`bounded_faces` order is taken.
+    are built (``bounded_faces(arr, zone=1)``, at most 2(n - 2) faces); of
+    several n-gons the first in :func:`bounded_faces` order is taken.
     """
     for f in bounded_faces(arr, zone=1):
         if len(f) == arr.n:

@@ -178,8 +178,10 @@ def derive_nomenclature(arr: Arrangement, perm=None) -> Nomenclature:
     first three signs come from the triangle rule; each later sign is +1 iff
     the line keeps all vertices of its predecessors on the origin's side.
     Raises ``not-an-infinity-permutation`` when a prefix line sees vertices
-    on both sides.
+    on both sides, and ``too-few-lines`` below 3 lines.
     """
+    if arr.n < 3:
+        raise ArrangementError("too-few-lines", "a nomenclature needs at least 3 lines")
     if perm is None:
         perm = canonical_infinity_permutation(arr)
         if perm is None:

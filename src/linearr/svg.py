@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement, triangle_faces_oracle
-from .geometry import ArrangementError, Line
+from .geometry import ArrangementError, Line, Point
 
 _WIDTH = Fraction(800)
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -62,7 +62,10 @@ def _clip(ln: Line, x0, x1, y0, y1):
 
 
 def svg_text(arr: Arrangement, spec: RenderSpec) -> str:
-    vs = list(arr.vertices.values())
+    vertex = {
+        k: Point(Fraction(x, w), Fraction(y, w)) for k, (x, y, w) in arr._vertex_homog.items()
+    }
+    vs = list(vertex.values())
     x0 = min(v.x for v in vs) - spec.padding
     x1 = max(v.x for v in vs) + spec.padding
     y0 = min(v.y for v in vs) - spec.padding
@@ -89,7 +92,7 @@ def svg_text(arr: Arrangement, spec: RenderSpec) -> str:
     if spec.shade:
         for idx, tri in enumerate(sorted(triangle_faces_oracle(arr)) if arr.n >= 3 else []):
             i, j, k = tri
-            pts = (arr.vertex(i, j), arr.vertex(j, k), arr.vertex(i, k))
+            pts = (vertex[(i, j)], vertex[(j, k)], vertex[(i, k)])
             coords = " ".join(f"{sx(p.x)},{sy(p.y)}" for p in pts)
             colour = _PALETTE[idx % len(_PALETTE)]
             out.append(f'<polygon points="{coords}" fill="{colour}" fill-opacity="0.35"/>')

@@ -4,11 +4,13 @@
 
 Each case is a fixed input and the exact bytes the library produced for it:
 fuzz reports (text and JSON, through the CLI), realized ``.arr`` files of
-nomenclatures and gonality cycles in both ladder variants, and the
-``analyze`` report of some of those files.  The fuzz reports and the
-cycle files were written by the library before the integer side-sign
-kernel replaced its ``Fraction`` predicates, so they pin that change to
-byte-identical output.  The nomenclature realizations and their analyze
+nomenclatures and gonality cycles in both ladder variants, the
+``analyze`` report of some of those files, and two SVG drawings.  The
+fuzz reports and the cycle files were written by the library before the
+integer side-sign kernel replaced its ``Fraction`` predicates, so they pin
+that change to byte-identical output.  The drawings were written while the
+arrangement still held its ``Fraction`` vertex table, which moved into
+``svg.py``.  The nomenclature realizations and their analyze
 reports were rewritten when ``realize_nomenclature`` moved to integer
 intercepts, which shortens the coefficients (the ``line k:`` lines) but
 keeps every order, corner, triangle and class line.  Regenerate the files
@@ -20,12 +22,15 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+from linearr.arrangement import build_arrangement
 from linearr.cli import cli_main
 from linearr.cyclicity import parse_cycle, realize_cycle
 from linearr.fileio import format_arrangement
 from linearr.nomenclature import parse_nomenclature, realize_nomenclature
+from linearr.svg import RenderSpec, svg_text
 
 GOLDEN = Path(__file__).resolve().parent
 
@@ -63,6 +68,13 @@ CYCLES = [
 
 VARIANTS = (0, 1)
 ANALYZED = ("nomenclature-0-v0", "nomenclature-1-v0", "cycle-0-v0", "cycle-1-v0")
+
+# a translated three-line input with wide padding, and a shaded realization
+SVG_CASES = [
+    ("three", lambda: build_arrangement([(1, -1, 0), (1, 0, 1), (1, 1, 3)]), Fraction(3, 2)),
+    ("seven", lambda: realize_nomenclature(parse_nomenclature(
+        "1^+1 2^-1 3^+1 7^+1 6^+1 4^-1 5^+1")), Fraction(1)),
+]
 
 
 def fuzz_name(family: str, seed: int) -> str:
@@ -107,6 +119,12 @@ def analyze_output(arr_path: Path) -> str:
     return text
 
 
+def drawings():
+    """(file name, SVG text) of every drawing case."""
+    for name, make, padding in SVG_CASES:
+        yield f"svg-{name}.svg", svg_text(make(), RenderSpec(path="unused.svg", padding=padding))
+
+
 def main() -> int:
     for case in FUZZ_CASES:
         text, json_text = fuzz_outputs(case, GOLDEN)
@@ -118,6 +136,9 @@ def main() -> int:
         if name in ANALYZED:
             (GOLDEN / f"analyze-{name}.txt").write_text(analyze_output(path), encoding="ascii")
         print(f"wrote realize-{name}.arr")
+    for name, text in drawings():
+        (GOLDEN / name).write_text(text, encoding="ascii")
+        print(f"wrote {name}")
     return 0
 
 

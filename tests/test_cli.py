@@ -315,6 +315,14 @@ def test_triangles_thmb_from_file(capsys, tmp_path):
     assert out == "1 2 3\n1 2 4\n1 6 7\n2 3 7\n5 6 7\n"
 
 
+def test_triangles_thmb_from_two_line_file(capsys, tmp_path):
+    path = tmp_path / "two.arr"
+    path.write_text("arr v1 n=2\n1 1 -1 1\n2 1 0 2\n")
+    code, out, err = run(capsys, "triangles", str(path), "--method", "thmB")
+    assert code == 2
+    assert out == "" and "too-few-lines" in err
+
+
 def test_triangles_thmb_from_non_infinity_file(capsys, tmp_path):
     path = tmp_path / "generic.arr"
     path.write_text(

@@ -4,8 +4,9 @@ The files under ``tests/golden/`` were written by ``tests/golden/generate.py``:
 the fuzz reports and the cycle files with the library as it stood before its
 predicates moved to the integer side-sign kernel, the nomenclature
 realizations and their analyze reports since ``realize_nomenclature`` uses
-integer intercepts.  Every fuzz report, realization and analyze report must
-come out byte-identical.
+integer intercepts, and the two SVG drawings while the ``Fraction`` vertex
+table still lived on the arrangement.  Every fuzz report, realization,
+analyze report and drawing must come out byte-identical.
 """
 
 import importlib.util
@@ -47,3 +48,10 @@ def test_realizations_and_analyze_reports_match_golden(tmp_path):
             path.write_text(text, encoding="ascii")
             assert generate.analyze_output(path) == golden(f"analyze-{name}.txt"), name
     assert len(names) == len(generate.VARIANTS) * (len(generate.NOMENCLATURES) + len(generate.CYCLES))
+
+
+def test_drawings_match_golden():
+    drawn = dict(generate.drawings())
+    assert len(drawn) == len(generate.SVG_CASES)
+    for name, text in drawn.items():
+        assert text == golden(name), name

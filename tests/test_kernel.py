@@ -1,22 +1,23 @@
 """Guards of the integer side-sign kernel.
 
-The rows-first kernel (one exact sort per line, then side bits from prefix
-masks) equals the determinant-per-triple side bits with popcount-ranked
-rows it replaced, and the tables read off the side bits (side signs,
-crossing orders, the triangle oracle, Theorem B's triangle set, the greedy
-infinity permutation, the derived nomenclature and the face walk) equal the
-direct forms they replaced, which are kept here as references; so do the
+The sweep kernel (one exact sort of all vertices, then rows and side bits
+from prefix masks) equals the ``Fraction``-height sweep with
+determinant-per-triple side bits and popcount-ranked rows it replaced, and
+the tables read off the side bits (side signs, crossing orders, the
+triangle oracle, Theorem B's triangle set, the greedy infinity permutation
+and the derived nomenclature) and the faces read off the sweep equal the
+direct forms they replaced, which are kept here as references (the faces'
+reference is the half-edge walk with its convexity determinant); so do the
 oracle, permutation and triangle classes read off the rows their cubic
 forms, ``missed_quadrant`` its sample-point form, the opposite-orders fuzz check
 its crossing-parameter form and the integer-intercept realizer the
 combinatorial type of the ``Fraction``-margin realizer; the realizer's
 bound over slope-adjacent meets gives the lines of its scan over every
-vertex, with at most two meets per line.  A conventional
-input keeps the vertex table its build computed.  Each half-edge is
-walked at most once per arrangement, detection walks only line 1's zone,
-cached walks keep no reference cycle, concurrency errors name the least
-triple, realized coefficients stay short, and invariant checks survive
-``python -O``."""
+vertex, with at most two meets per line.  A build computes one vertex
+table and translates it.  Detection builds only line 1's zone, the faces
+are built once per arrangement, cached tables keep no reference cycle,
+concurrency errors name the least triple, realized coefficients stay short,
+and invariant checks, the sweep's among them, survive ``python -O``."""
 
 import gc
 import os
@@ -76,11 +77,17 @@ NOMENCLATURES = [
 CYCLES = ["(1 3 4 2 5)", "(1 2 5 7 3 4 6 8)", "(1 4 6 9 2 3 5 7 8 10)"]
 
 
+def vertex(arr, i, j):
+    """The exact vertex of lines i and j."""
+    x, y, w = arr._vertex_homog[(i, j) if i < j else (j, i)]
+    return Point(Fraction(x, w), Fraction(y, w))
+
+
 def missed_quadrant_by_samples(arr, i, j, m):
     """The three-sample-point form ``missed_quadrant`` had before the kernel:
     classify a point on each ray and on the segment of line m cut by lines
     i and j, and return the one sign pair none of them has."""
-    vim, vjm = arr.vertex(i, m), arr.vertex(j, m)
+    vim, vjm = vertex(arr, i, m), vertex(arr, j, m)
     li, lj = arr.line(i), arr.line(j)
     samples = (
         Point(2 * vim.x - vjm.x, 2 * vim.y - vjm.y),
@@ -113,22 +120,18 @@ def test_missed_quadrant_equals_the_sample_point_form():
     assert checked > 20000
 
 
-class RecordingSet(set):
-    """A set that also lists every element added, repeats included."""
+def test_zone_query_builds_only_its_faces(monkeypatch):
+    """Detection on a fresh arrangement builds at most 2(n - 2) faces, all
+    with an edge on line 1, and leaves the full face list uncomputed; that
+    list is then built once and equals the one-pass reference walk."""
+    built = []
+    face = arrangement._face
 
-    def __init__(self):
-        super().__init__()
-        self.added = []
+    def recording(*args):
+        built.append(face(*args))
+        return built[-1]
 
-    def add(self, item):
-        self.added.append(item)
-        super().add(item)
-
-
-def test_bounded_faces_walks_each_arrangement_once():
-    """Detection on a fresh arrangement walks only faces with an edge on line
-    1, within the zone theorem's O(n) half-edges; ``bounded_faces`` resumes
-    that walk, and no half-edge is walked twice across both."""
+    monkeypatch.setattr(arrangement, "_face", recording)
     cases = [
         (realize_cycle(parse_cycle(CYCLES[2])), parse_cycle(CYCLES[2])),
         (realize_cycle(parse_cycle("(1 4 6 9 12 2 3 5 7 8 10 11)"), 1), None),
@@ -136,29 +139,22 @@ def test_bounded_faces_walks_each_arrangement_once():
         (gen_infinity_type(30, 3)[1], None),
     ]
     for realized, cycle in cases:
-        arr = build_arrangement(realized.lines)  # fresh: no face walked yet
-        walk = arr._face_walk
-        walk.seen = RecordingSet()
-        got = detect_gonality_cycle(arr)
-        assert got == detect_gonality_cycle(realized)
-        assert cycle is None or got == cycle
-        zone = len(walk.seen.added)
-        # the zone of one line in n lines has at most 10n face edges: 6(n-1)
-        # in the other lines (Edelsbrunner, Seidel & Sharir), plus 4 per face
-        # the line cuts in two
-        assert 0 < zone <= 10 * arr.n
-        assert walk.faces and all(1 in f.line_ids for f in walk.faces)
+        want = detect_gonality_cycle(realized)
+        assert cycle is None or want == cycle
+        arr = build_arrangement(realized.lines)  # fresh: no face built yet
+        built.clear()
+        assert detect_gonality_cycle(arr) == want
+        assert 0 < len(built) <= 2 * (arr.n - 2)
+        assert all(1 in f.line_ids for f in built)
+        assert "faces" not in vars(arr)
 
         first = bounded_faces(arr)
         first.clear()  # a caller's list is its own
         again = bounded_faces(arr)
         assert len(again) == (arr.n - 1) * (arr.n - 2) // 2
         assert [f.edges for f in again] == faces_by_full_walk(realized)
-        walked = walk.seen.added
-        assert len(walked) == len(set(walked)) and len(walked) > zone
-        assert not walk.seen  # released once every start is walked
-        assert detect_gonality_cycle(arr) == got and bounded_faces(arr) == again
-        assert len(walk.seen.added) == len(walked)
+        built.clear()
+        assert bounded_faces(arr) == again and not built
 
 
 def test_zone_faces_are_the_faces_on_that_line():
@@ -186,7 +182,7 @@ def test_cached_faces_and_cycle_keep_no_reference_cycle():
         arr = realize_cycle(parse_cycle(CYCLES[1]))  # detection ran
         bounded_faces(arr)
         triangle_faces_oracle(arr)
-        assert arr.vertices and arr.order_rows and arr._face_walk.faces
+        assert arr._levels and arr.faces and arr.order_rows
         ref = weakref.ref(arr)
         del arr
         assert ref() is None
@@ -220,9 +216,9 @@ def test_cached_faces_and_cycle_keep_no_reference_cycle():
     ],
 )
 def test_concurrent_triple_names_the_first_triple_in_combination_order(raw, message):
-    for kernel in (arrangement._rows_and_bits_of, rows_and_bits_by_determinants):
+    for kernel in (arrangement._sweep, sweep_by_determinants):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(arrangement, "_rows_and_bits_of", kernel)
+            patch.setattr(arrangement, "_sweep", kernel)
             with pytest.raises(ArrangementError) as err:
                 build_arrangement(raw)
         assert err.value.code == "concurrent-triple"
@@ -230,9 +226,10 @@ def test_concurrent_triple_names_the_first_triple_in_combination_order(raw, mess
 
 
 def test_build_keeps_the_vertex_table_of_a_conventional_input(monkeypatch):
-    """A conventional input keeps the one vertex table the build computes;
-    a translated input gets the table of its translated lines, and its
-    lowest vertex and leftmost vertex or intercept land exactly on 1."""
+    """A build computes one vertex table.  A conventional input keeps it; a
+    translated input gets it translated, which are the meets of its
+    translated lines as exact points, and its lowest vertex and leftmost
+    vertex or intercept land exactly on 1."""
     cases = list(chain(kernel_arrangements(), large_realizations()))
     homogeneous = arrangement._homogeneous_vertices
     tables = []
@@ -240,6 +237,9 @@ def test_build_keeps_the_vertex_table_of_a_conventional_input(monkeypatch):
     def recording(lines):
         tables.append(homogeneous(lines))
         return tables[-1]
+
+    def points(table):
+        return {k: (Fraction(x, w), Fraction(y, w)) for k, (x, y, w) in table.items()}
 
     monkeypatch.setattr(arrangement, "_homogeneous_vertices", recording)
     for realized in cases:
@@ -250,14 +250,28 @@ def test_build_keeps_the_vertex_table_of_a_conventional_input(monkeypatch):
 
         tables.clear()
         moved = build_arrangement(ln.translated(-1000, -1000) for ln in realized.lines)
+        assert len(tables) == 1
         assert moved.order_rows == realized.order_rows
-        assert moved._vertex_homog is not tables[0]
-        assert moved._vertex_homog == homogeneous(moved.lines)
-        assert min(Fraction(y, w) for _, y, w in moved._vertex_homog.values()) == 1
+        got = points(moved._vertex_homog)
+        assert got == points(homogeneous(moved.lines))
+        assert all(w > 0 for _, _, w in moved._vertex_homog.values())
+        assert min(y for _, y in got.values()) == 1
         assert min(chain(
-            (Fraction(x, w) for x, _, w in moved._vertex_homog.values()),
+            (x for x, _ in got.values()),
             (Fraction(ln.c, ln.a) for ln in moved.lines),
         )) == 1
+
+
+def run_under_optimize(script: str) -> list[str]:
+    """The words ``script`` prints when run by ``python -O``."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def test_realize_checks_its_labels_under_optimize():
@@ -276,14 +290,43 @@ def test_realize_checks_its_labels_under_optimize():
         "else:",
         "    print('returned')",
     ])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["optimized", "internal-invariant"]
+    assert run_under_optimize(script) == ["optimized", "internal-invariant"]
+
+
+def test_an_inconsistent_sweep_raises_under_optimize():
+    """Two crossings of one line swapped in the sweep order, or the order
+    reversed, are caught by the level pass, for all faces and for a zone."""
+    script = "\n".join([
+        "from linearr.arrangement import bounded_faces, build_arrangement",
+        "from linearr.cyclicity import parse_cycle, realize_cycle",
+        "from linearr.geometry import ArrangementError",
+        "print('debug' if __debug__ else 'optimized')",
+        "lines = realize_cycle(parse_cycle('(1 3 4 2 5)')).lines",
+        "for corrupt in ('swap', 'reverse'):",
+        "    for zone in (None, 1):",
+        "        arr = build_arrangement(lines)",
+        "        order = arr._sweep_order",
+        "        if corrupt == 'reverse':",
+        "            order.reverse()",
+        "        else:",
+        "            t = next(t for t in range(len(order)) if set(order[t]) & set(order[t + 1]))",
+        "            order[t], order[t + 1] = order[t + 1], order[t]",
+        "        try:",
+        "            bounded_faces(arr, zone=zone)",
+        "        except ArrangementError as exc:",
+        "            print(exc.code)",
+        "        else:",
+        "            print('returned')",
+    ])
+    assert run_under_optimize(script) == ["optimized"] + ["internal-invariant"] * 4
+
+
+def test_faces_need_three_lines():
+    arr = build_arrangement([(1, -1, 0), (1, 0, 1)])
+    for zone in (None, 1, 2):
+        with pytest.raises(ArrangementError) as err:
+            bounded_faces(arr, zone=zone)
+        assert err.value.code == "too-few-lines"
 
 
 # The direct forms the side-bit tables replaced.
@@ -341,14 +384,34 @@ def order_rows_by_popcount(n, bits):
     return tuple(rows)
 
 
-def rows_and_bits_by_determinants(lines, homog):
+def sweep_by_determinants(lines, homog):
+    """The vertices sorted by ``Fraction`` height, ties in combination order,
+    with the determinant side bits and the popcount rows."""
     bits = side_bits_by_determinants(lines, homog)
-    return order_rows_by_popcount(len(lines), bits), bits
+    order = sorted(homog, key=lambda v: (Fraction(homog[v][1], homog[v][2]), v))
+    return order, order_rows_by_popcount(len(lines), bits), bits
+
+
+def orientation(p, q, r) -> int:
+    """The 3x3 determinant of three homogeneous points with W > 0: positive
+    iff p, q, r turn anticlockwise."""
+    (px, py, pw), (qx, qy, qw), (rx, ry, rw) = p, q, r
+    return (
+        px * (qy * rw - qw * ry)
+        - py * (qx * rw - qw * rx)
+        + pw * (qx * ry - qy * rx)
+    )
 
 
 def faces_by_full_walk(arr):
-    """The edge lists of every bounded face, walked in one pass with a
-    position table per row."""
+    """The edge lists of every bounded face, walked in one pass over the
+    half-edges with a position table per row, each face checked to be an
+    anticlockwise convex polygon by the determinant of every corner.
+
+    A half-edge runs along one line between two consecutive crossings; the
+    face on its left continues at its end by turning left onto the other
+    line there, and a walk that runs off a row has reached an unbounded
+    face."""
     rows = (None,) + arr.order_rows
     homog = arr._vertex_homog
     last = arr.n - 2
@@ -374,7 +437,7 @@ def faces_by_full_walk(arr):
                       for i, p, _ in cycle)
         pts = [homog[vk] for _, vk in edges]
         assert all(
-            arrangement._orientation(pts[k - 1], pts[k], pts[(k + 1) % len(pts)]) > 0
+            orientation(pts[k - 1], pts[k], pts[(k + 1) % len(pts)]) > 0
             for k in range(len(pts))
         )
         k = min(range(len(edges)), key=lambda t: edges[t])
@@ -396,14 +459,20 @@ def large_realizations():
 
 def test_rows_and_bits_equal_the_determinant_form():
     for arr in chain(kernel_arrangements(), large_realizations()):
-        got = arrangement._rows_and_bits_of(arr.lines, arr._vertex_homog)
-        assert got == rows_and_bits_by_determinants(arr.lines, arr._vertex_homog)
-        assert got == (arr.order_rows, arr._side_bits)
+        got = arrangement._sweep(arr.lines, arr._vertex_homog)
+        assert got == sweep_by_determinants(arr.lines, arr._vertex_homog)
+        assert got == (arr._sweep_order, arr.order_rows, arr._side_bits)
 
 
-def test_face_walk_equals_the_one_pass_walk():
+def test_sweep_faces_equal_the_one_pass_walk():
+    """All faces, and every zone asked of a fresh arrangement."""
     for arr in chain(kernel_arrangements(), large_realizations()):
-        assert [f.edges for f in bounded_faces(arr)] == faces_by_full_walk(arr)
+        want = faces_by_full_walk(arr)
+        fresh = build_arrangement(arr.lines)
+        for k in arr.ids:
+            zone = [f.edges for f in bounded_faces(fresh, zone=k)]
+            assert zone == [edges for edges in want if any(i == k for i, _ in edges)]
+        assert [f.edges for f in bounded_faces(arr)] == want
 
 
 def order_rows_by_fraction_keys(arr):
@@ -412,7 +481,7 @@ def order_rows_by_fraction_keys(arr):
     for i in arr.ids:
         dx, dy = arr.line(i).direction
         others = [j for j in arr.ids if j != i]
-        others.sort(key=lambda j: dx * arr.vertex(i, j).x + dy * arr.vertex(i, j).y)
+        others.sort(key=lambda j: dx * vertex(arr, i, j).x + dy * vertex(arr, i, j).y)
         rows.append(tuple(others))
     return tuple(rows)
 
@@ -576,7 +645,7 @@ def test_side_bits_equal_the_sign_at_each_vertex():
         # the table of the realization and that of a fresh build of its lines
         fresh = build_arrangement(arr.lines)
         for i, j in combinations(arr.ids, 2):
-            v = arr.vertex(i, j)
+            v = vertex(arr, i, j)
             for m in arr.ids:
                 if m not in (i, j):
                     want = side(arr.line(m), v)
@@ -594,7 +663,7 @@ def test_lazy_side_bits_report_a_concurrent_triple():
     # three angle-sorted lines through (1, 1), never passed through build
     lines = (Line(1, -1, 0), Line(1, 0, 1), Line(1, 1, 2))
     with pytest.raises(ArrangementError) as err:
-        arrangement._rows_and_bits_of(lines, arrangement._homogeneous_vertices(lines))
+        arrangement._sweep(lines, arrangement._homogeneous_vertices(lines))
     assert err.value.code == "concurrent-triple"
     assert str(err.value).startswith("lines 1,2,3 pass through")
 
@@ -602,7 +671,7 @@ def test_lazy_side_bits_report_a_concurrent_triple():
 def test_side_bits_refuse_lines_out_of_angle_order():
     lines = realize_nomenclature(parse_nomenclature(NOMENCLATURES[0])).lines[::-1]
     with pytest.raises(ArrangementError) as err:
-        arrangement._rows_and_bits_of(lines, arrangement._homogeneous_vertices(lines))
+        arrangement._sweep(lines, arrangement._homogeneous_vertices(lines))
     assert err.value.code == "internal-invariant"
 
 
@@ -717,7 +786,7 @@ def triangle_opposite_orders_by_parameters(nom, arr, oracle):
             dx, dy = arr.line(base).direction
 
             def param(lab):
-                v = arr.vertex(base, lab)
+                v = vertex(arr, base, lab)
                 return dx * v.x + dy * v.y
 
             centre = param(other)

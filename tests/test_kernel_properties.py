@@ -1,7 +1,8 @@
-"""Property test of the rows-first kernel: on random sets of lines with
-small coefficients, many of them through a few shared points, the build
-either fails exactly as the determinant-per-triple kernel makes it fail, or
-gives the same rows, side bits, face edge lists and gonality cycle, and the
+"""Property test of the sweep kernel: on random sets of lines with small
+coefficients, many of them through a few shared points, the build either
+fails exactly as the determinant-per-triple kernel makes it fail, or gives
+the same sweep order, rows and side bits, the face edge lists and gonality
+cycle of the one-pass half-edge walk, every zone of those faces, and the
 triangle oracle, canonical infinity permutation and triangle classes read
 off the rows equal their cubic reference forms."""
 
@@ -25,7 +26,7 @@ from linearr.nomenclature import canonical_infinity_permutation
 from test_kernel import (
     canonical_permutation_by_bit_folds,
     faces_by_full_walk,
-    rows_and_bits_by_determinants,
+    sweep_by_determinants,
     triangle_classes_by_pairs,
     triangle_faces_by_triples,
 )
@@ -54,7 +55,7 @@ def line_sets(draw):
 
 def reference(raw):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(arrangement, "_rows_and_bits_of", rows_and_bits_by_determinants)
+        patch.setattr(arrangement, "_sweep", sweep_by_determinants)
         try:
             arr = build_arrangement(raw)
         except ArrangementError as exc:
@@ -65,10 +66,12 @@ def reference(raw):
         if ngon is not None:
             ids = tuple(i for i, _ in ngon)
             cycle = validate_cycle(ids[ids.index(1):] + ids[: ids.index(1)])
+        zones = [[edges for edges in faces if any(i == k for i, _ in edges)] for k in arr.ids]
         oracle = triangle_faces_by_triples(arr)
         perm = canonical_permutation_by_bit_folds(arr)[0]
         classes = triangle_classes_by_pairs(oracle)
-        return arr.order_rows, arr._side_bits, oracle, perm, classes, faces, cycle
+        rows = arr._sweep_order, arr.order_rows, arr._side_bits
+        return rows, oracle, perm, classes, faces, zones, cycle
 
 
 def rows_first(raw):
@@ -76,13 +79,15 @@ def rows_first(raw):
         arr = build_arrangement(raw)
     except ArrangementError as exc:
         return exc.code, str(exc)
-    fresh = build_arrangement(arr.lines)  # no face walked yet
+    fresh = build_arrangement(arr.lines)  # no face built yet
     cycle = detect_gonality_cycle(fresh)  # line 1's zone first, then the rest
+    zones = [[f.edges for f in bounded_faces(fresh, zone=k)] for k in arr.ids]
     faces = [f.edges for f in bounded_faces(fresh)]
     oracle = triangle_faces_oracle(arr)
     perm = canonical_infinity_permutation(arr)
     classes = triangle_equivalence_classes(oracle)
-    return arr.order_rows, arr._side_bits, oracle, perm, classes, faces, cycle
+    rows = arr._sweep_order, arr.order_rows, arr._side_bits
+    return rows, oracle, perm, classes, faces, zones, cycle
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

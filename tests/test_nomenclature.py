@@ -103,6 +103,14 @@ def test_seven_line_arrangement_admits_both_nomenclatures():
     assert derive_nomenclature(arr, alt.labels) == alt
 
 
+def test_derive_needs_three_lines():
+    arr = build_arrangement([(1, -1, 0), (1, 0, 1)])
+    for perm in (None, (1, 2), (2, 1)):
+        with pytest.raises(ArrangementError) as err:
+            derive_nomenclature(arr, perm)
+        assert err.value.code == "too-few-lines"
+
+
 def test_derive_rejects_non_infinity_permutation():
     arr = realize_nomenclature(parse_nomenclature(SEVEN))
     with pytest.raises(ArrangementError) as err:
