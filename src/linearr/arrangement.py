@@ -15,13 +15,13 @@ homogeneous triples (X, Y, W) with W > 0.  The kernel is one sweep: one
 exact sort of all vertices, by one integer key per vertex, gives the order
 in which a horizontal line moving upwards meets them, and restricted to a
 line that order is the line's crossing order (its local sequence), in
-O(n^2 log n).  A prefix mask along each row gives the side signs of all
-lines at each vertex as one int, bit m for line m.  The triangle oracle
-reads these bits; the bounded faces read the sweep, since the popcount of
-a vertex's bits is its level, and every bounded face runs from one
-crossing at its level to the next.  :class:`fractions.Fraction` appears
-only in the two offsets of the translation into conventional position and
-in error texts.
+O(n^2 log n).  One pass over that order, in the build, checks every swap
+of two wires and gives the rows, each vertex's level (the gap between the
+wires it swaps) and the side signs of all lines at it as one int, bit m
+for line m.  The triangle oracle reads these bits; every bounded face runs
+from one crossing at its level to the next.  :class:`fractions.Fraction`
+appears only in the two offsets of the translation into conventional
+position and in error texts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cached_property, cmp_to_key
 from itertools import chain, combinations, compress, count
 from operator import eq
 
-from .geometry import ArrangementError, Line, Point, cmp_angle, line, meet
+from .geometry import ArrangementError, Line, Point, cmp_angle, line
 
 VertexKey = tuple[int, int]  # (i, j) with i < j, the pair of line ids
 Triangle = tuple[int, int, int]  # sorted line ids
@@ -48,17 +48,18 @@ class Arrangement:
     and conventionally embeds the lines and hands over their tables: each
     vertex as an integer triple (X, Y, W) with W > 0, the sweep order of the
     vertices (bottom to top), the ``order_rows`` (row i - 1: the other ids
-    along line i's conventional orientation) and the side bits (bit m of
-    vertex (i, j) is set iff line m has side +1 there; read single signs
-    through :meth:`side_at`).
+    along line i's conventional orientation), the side bits (bit m of vertex
+    (i, j) is set iff line m has side +1 there; read single signs through
+    :meth:`side_at`) and the levels (the sweep indices of each level).
     """
 
-    def __init__(self, lines: tuple[Line, ...], homog, order, rows: Rows, bits):
+    def __init__(self, lines: tuple[Line, ...], homog, order, rows: Rows, bits, levels):
         self.lines = lines
         self._vertex_homog = homog
         self._sweep_order = order
         self.order_rows = rows
         self._side_bits = bits
+        self._levels = levels
 
     @property
     def n(self) -> int:
@@ -91,62 +92,70 @@ class Arrangement:
         return -1
 
     @cached_property
-    def _levels(self) -> tuple[list, list]:
-        """The crossings of each level and their sweep times (see
-        :func:`_sweep_levels`)."""
-        if self.n < 3:
-            raise ArrangementError("too-few-lines", "faces need at least 3 lines")
-        return _sweep_levels(self.n, self._sweep_order, self._side_bits)
-
-    @cached_property
     def faces(self) -> tuple[Face, ...]:
         """The bounded faces, sorted by size then edges; read them through
         :func:`bounded_faces`."""
-        levels, times = self._levels
+        order, levels = self._sweep_order, self._levels
         return tuple(sorted(
-            (_face(levels, times, g, a) for g, level in enumerate(levels)
+            (_face(order, levels, g, a) for g, level in enumerate(levels)
              for a in range(len(level) - 1)),
             key=_face_order,
         ))
 
 
 def _homogeneous_vertices(lines) -> dict[VertexKey, tuple[int, int, int]]:
-    """The vertex of every pair of ``lines`` (ids from 1), in combination order."""
+    """The :func:`~linearr.geometry.meet` of every pair of ``lines`` (ids from
+    1, in angle order, so W needs no sign flip), in combination order."""
+    abc = [(ln.a, ln.b, ln.c) for ln in lines]
     return {
-        (i, j): meet(li, lj)
-        for (i, li), (j, lj) in combinations(enumerate(lines, 1), 2)
+        (i, j): (c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, a1 * b2 - a2 * b1)
+        for (i, (a1, b1, c1)), (j, (a2, b2, c2)) in combinations(enumerate(abc, 1), 2)
     }
 
 
-def _sweep(lines, homog) -> tuple[list[VertexKey], Rows, dict[VertexKey, int]]:
-    """The sweep order, crossing orders and side bits of ``lines`` (ids from
-    1) with vertices ``homog`` (in combination order), from one exact sort of
-    all vertices.
+def _sweep(lines, homog) -> tuple[list[VertexKey], Rows, dict[VertexKey, int], list]:
+    """The sweep order, crossing orders, side bits and levels of ``lines``
+    (ids from 1) with vertices ``homog`` (as :func:`_homogeneous_vertices`
+    gives them), from one exact sort of all vertices and one pass over them.
 
     Every line is non-horizontal and runs towards increasing y, so a
     horizontal line moving upwards meets the crossings of each line in the
     line's own order.  A vertex (X, Y, W) gets the key ``(Y << s) // W``
-    with ``s = 2 * bitlen(max W) + 1``: two distinct values Y/W differ by at
-    least 1 / (W1 * W2) > 2**-s, which the shift scales past 1, so the keys
-    order the vertices exactly.  Sorted by key, ties in combination order,
-    the vertices are the sweep order, and each row is that order restricted
-    to its line.  Equal keys are crossings at one height, and two of them
-    on one line are one point; the crossings of lines a < b < c < ... at one
-    point come as neighbours (a, b), (a, c), so neighbours with equal keys
-    and equal first ids are exactly the concurrencies, and give the least
-    concurrent triple in combination order.
+    with ``s = 2 * bitlen(2 * max a * max |b|) + 1``, as no W = a_i * b_j -
+    a_j * b_i exceeds 2 * max a * max |b|: two distinct values Y/W differ by
+    at least 1 / (W1 * W2) > 2**-s, which the shift scales past 1, so the
+    keys order the vertices exactly.  Sorted by key, ties in combination
+    order, the vertices are the sweep order, and each row is that order
+    restricted to its line.  Equal keys are crossings at one height, and two
+    of them on one line are one point; the crossings of lines a < b < c < ...
+    at one point come as neighbours (a, b), (a, c), so neighbours with equal
+    keys and equal first ids are exactly the concurrencies, and give the
+    least concurrent triple in combination order.
 
     The side sign of line k grows along line i iff k > i (the ids follow the
     direction angle) and is 0 at V_ik.  So line k has side +1 at V_ij iff
     "k crosses line i before j" equals "k > i": the bits of V_ij (i < j) are
     the set of ids before j in row i, xor the ids below i.
+
+    Wires start in id order, their x order at y = -inf, and wire i moves
+    right past higher ids and left past lower ones.  So just before it
+    crosses j > i, wire i is at 0-based position (i - 1) + #higher ids
+    crossed - #lower ids crossed, which is the popcount of the bits of V_ij:
+    that crossing swaps the wires at positions g and g + 1, at level g.  The
+    pass checks that wire j is at position g + 1, which certifies the sweep
+    order as a sequence of adjacent swaps, and appends the crossing's sweep
+    index to level g.  Levels run 0..n - 2; one more empty level, which
+    index -1 also reads, gives each level a neighbour on both sides.  The
+    order reversed, the sweep of the arrangement turned by 180 degrees,
+    passes that check; the first vertex lying below the last rules it out.
     """
     if any(l1.a * l2.b <= l2.a * l1.b for l1, l2 in zip(lines, lines[1:])):
         raise ArrangementError(
             "internal-invariant", "line ids do not follow the direction angle"
         )
     n = len(lines)
-    shift = 2 * max(w for _, _, w in homog.values()).bit_length() + 1
+    bound = 2 * max(ln.a for ln in lines) * max(abs(ln.b) for ln in lines)
+    shift = 2 * bound.bit_length() + 1
     verts = list(homog)
     heights = [(y << shift) // w for _, y, w in homog.values()]
     ranks = sorted(range(len(verts)), key=heights.__getitem__)
@@ -162,17 +171,30 @@ def _sweep(lines, homog) -> tuple[list[VertexKey], Rows, dict[VertexKey, int]]:
         x, y, w = homog[(i, j)]
         v = Point(Fraction(x, w), Fraction(y, w))
         raise ArrangementError("concurrent-triple", f"lines {i},{j},{k} pass through {v}")
+    (_, y0, w0), (_, y1, w1) = homog[order[0]], homog[order[-1]]
+    if y0 * w1 > y1 * w0:
+        raise ArrangementError("internal-invariant", "the sweep runs downwards")
     rows = [[] for _ in range(n + 1)]
     before = [0] * (n + 1)  # before[i]: the ids met so far in row i
+    pos = list(range(-1, n))  # pos[i]: the position of wire i
+    levels = [[] for _ in range(n)]
     bits = {}
-    for v in order:
+    for t, v in enumerate(order):
         i, j = v
+        g = pos[i]
+        if pos[j] != g + 1:
+            raise ArrangementError(
+                "internal-invariant", f"the sweep meets V_{i},{j} off wire positions {g}, {g + 1}"
+            )
+        pos[i] = g + 1
+        pos[j] = g
+        levels[g].append(t)
         bits[v] = before[i] ^ ((1 << i) - 2)
         before[i] |= 1 << j
         before[j] |= 1 << i
         rows[i].append(j)
         rows[j].append(i)
-    return order, tuple(map(tuple, rows[1:])), bits
+    return order, tuple(map(tuple, rows[1:])), bits, levels
 
 
 def _reject_parallel(lines) -> None:
@@ -211,11 +233,11 @@ def build_arrangement(raw) -> Arrangement:
     if any(l1.a * l2.b == l2.a * l1.b for l1, l2 in zip(lines, lines[1:])):
         _reject_parallel(given)
 
-    # The sweep order, crossing orders and side signs are translation
-    # invariant, so those of the input lines, which the concurrency check
-    # computes anyway, serve the translated ones.
+    # The sweep order, crossing orders, side signs and levels are
+    # translation invariant, so those of the input lines, which the
+    # concurrency check computes anyway, serve the translated ones.
     homog = _homogeneous_vertices(lines)
-    order, rows, bits = _sweep(lines, homog)
+    order, rows, bits, levels = _sweep(lines, homog)
 
     # ty lifts the lowest vertex, the first of the sweep, to y = 1, then tx
     # moves the leftmost vertex or x intercept to x = 1; each is needed only
@@ -239,7 +261,7 @@ def build_arrangement(raw) -> Arrangement:
         qs, ps, rq = q * s, p * s, r * q
         lines = [ln.translated(tx, ty) for ln in lines]
         homog = {v: (x * qs + ps * w, y * qs + rq * w, w * qs) for v, (x, y, w) in homog.items()}
-    arr = Arrangement(tuple(lines), homog, order, rows, bits)
+    arr = Arrangement(tuple(lines), homog, order, rows, bits, levels)
     if not all(x > 0 and y > 0 for x, y, _ in homog.values()):
         raise ArrangementError(
             "internal-invariant", "a vertex lies outside the open first quadrant"
@@ -262,13 +284,8 @@ def _least(pairs) -> tuple[int, int]:
 
 def corner_points(arr: Arrangement) -> set[VertexKey]:
     """Pairs {i, j} whose vertex is the extreme crossing on both its lines."""
-    rows = arr.order_rows
-    out = set()
-    for i, j in combinations(arr.ids, 2):
-        ri, rj = rows[i - 1], rows[j - 1]
-        if (ri[0] == j or ri[-1] == j) and (rj[0] == i or rj[-1] == i):
-            out.add((i, j))
-    return out
+    ends = [()] + [(row[0], row[-1]) for row in arr.order_rows]
+    return {(i, j) for i in arr.ids for j in ends[i] if i < j and i in ends[j]}
 
 
 def triangle_faces_oracle(arr: Arrangement) -> TriangleSet:
@@ -328,8 +345,8 @@ class Face:
 
 
 def bounded_faces(arr: Arrangement, zone: int | None = None) -> list[Face]:
-    """All bounded faces, read off the sweep and sorted by size then edges;
-    with ``zone``, only those with an edge on line ``zone``.
+    """All bounded faces, read off the levels of the sweep and sorted by size
+    then edges; with ``zone``, only those with an edge on line ``zone``.
 
     Each bounded face lies between the wires at two adjacent positions and
     runs from one crossing of theirs to the next (Edelsbrunner & Guibas,
@@ -338,27 +355,27 @@ def bounded_faces(arr: Arrangement, zone: int | None = None) -> list[Face]:
     the same faces.
 
     ``zone`` builds only the faces beside each bounded segment of line k =
-    ``zone``: after crossing V_kx at level g, line k is the wire at position
-    g + 1 if k < x, else at g, so the faces on its two sides are those of
-    levels g and g + 1, or g - 1 and g, that are open at that crossing's
-    sweep time.  That is at most 2(n - 2) faces, against (n - 1)(n - 2) / 2
-    for all.
+    ``zone``: after crossing V_kx, found at sweep index t by one scan of the
+    order, at level g, line k is the wire at position g + 1 if k < x, else
+    at g, so the faces on its two sides are those of levels g and g + 1, or
+    g - 1 and g, open at t: at most 2(n - 2) faces, against (n - 1)(n - 2) / 2.
     """
+    if zone is not None and not 0 < zone <= arr.n:
+        raise ArrangementError("bad-position", f"line {zone} outside 1..{arr.n}")
+    if arr.n < 3:
+        raise ArrangementError("too-few-lines", "faces need at least 3 lines")
     if zone is None:
         return list(arr.faces)
-    if not 0 < zone <= arr.n:
-        raise ArrangementError("bad-position", f"line {zone} outside 1..{arr.n}")
-    levels, times = arr._levels
-    bits = arr._side_bits
+    order, levels, bits = arr._sweep_order, arr._levels, arr._side_bits
     found = []
-    for x in arr.order_rows[zone - 1][:-1]:  # the segment after each crossing but the last
-        u = (zone, x) if zone < x else (x, zone)
+    crossings = [t for t, v in enumerate(order) if zone in v]
+    for t in crossings[:-1]:  # the segment after each crossing but the last
+        u = order[t]
         g = bits[u].bit_count()
-        t = times[g][levels[g].index(u)]
-        for h in (g, g + 1) if zone < x else (g - 1, g):
-            a = bisect(times[h], t) - 1
-            if 0 <= a < len(times[h]) - 1:
-                found.append(_face(levels, times, h, a))
+        for h in (g, g + 1) if u[0] == zone else (g - 1, g):
+            a = bisect(levels[h], t) - 1
+            if 0 <= a < len(levels[h]) - 1:
+                found.append(_face(order, levels, h, a))
     return sorted(found, key=_face_order)
 
 
@@ -366,40 +383,9 @@ def _face_order(f: Face) -> tuple:
     return (len(f), f.edges)
 
 
-def _sweep_levels(n: int, order, bits) -> tuple[list, list]:
-    """The crossings of each level g, in sweep order, and their sweep times.
-
-    Wires start in id order, their x order at y = -inf (the ids follow the
-    direction angle), and wire i moves right past higher ids and left past
-    lower ones.  So just before it crosses j > i, wire i is at 0-based
-    position (i - 1) + #higher ids crossed - #lower ids crossed, which is
-    the popcount of the side bits of V_ij: that crossing swaps the wires at
-    positions g and g + 1, at level g.  The pass checks that the wires there
-    are i and j, in that order, which ties the exact sweep order to the side
-    bits.
-
-    Levels run 0..n - 2; one more empty level, which index -1 also reads,
-    gives each level a neighbour on both sides.
-    """
-    at = list(range(1, n + 1))  # the wire at each position
-    levels = [[] for _ in range(n)]
-    times = [[] for _ in range(n)]
-    for t, v in enumerate(order):
-        g = bits[v].bit_count()
-        i, j = v
-        if g > n - 2 or at[g] != i or at[g + 1] != j:
-            raise ArrangementError(
-                "internal-invariant",
-                f"the sweep meets V_{i},{j} at level {g}, between wires {at[g:g + 2]}",
-            )
-        at[g], at[g + 1] = j, i
-        levels[g].append(v)
-        times[g].append(t)
-    return levels, times
-
-
-def _face(levels, times, g: int, a: int) -> Face:
-    """The bounded face of level g from its crossing a to crossing a + 1.
+def _face(order, levels, g: int, a: int) -> Face:
+    """The bounded face of level g from its crossing a to a + 1 (sweep
+    indices into ``order``).
 
     Its anticlockwise corners are the lower crossing u, the crossings of
     level g + 1 between u and the upper crossing w in sweep order (its right
@@ -407,12 +393,11 @@ def _face(levels, times, g: int, a: int) -> Face:
     chain).  Each edge lies on the line its corner shares with the next, and
     the edges start at the least one.
     """
-    t0, t1 = times[g][a], times[g][a + 1]
-    right, left = times[g + 1], times[g - 1]
-    corners = [levels[g][a]]
-    corners += levels[g + 1][bisect(right, t0):bisect(right, t1)]
-    corners.append(levels[g][a + 1])
-    corners += reversed(levels[g - 1][bisect(left, t0):bisect(left, t1)])
+    t0, t1 = levels[g][a], levels[g][a + 1]
+    right, left = levels[g + 1], levels[g - 1]
+    ts = [t0, *right[bisect(right, t0):bisect(right, t1)], t1]
+    ts += reversed(left[bisect(left, t0):bisect(left, t1)])
+    corners = list(map(order.__getitem__, ts))
     edges = [
         (i if i in nxt else j, (i, j))
         for (i, j), nxt in zip(corners, corners[1:] + corners[:1])

@@ -628,8 +628,12 @@ def rerun_counterexample(ce: Counterexample) -> bool:
     Returns True when the failure reproduces.  The arrangement is reloaded
     from its file text and the witness reparsed as the encoding of
     ``ce.family``, so the check runs on freshly built objects.  A trial
-    exception reruns the whole trial from its seed.
+    exception reruns the whole trial from its seed.  An unknown family or
+    check, a check that does not run on the family, and an encoding-reading
+    check without a witness raise ``bad-token``.
     """
+    if ce.family not in FAMILIES:
+        raise ArrangementError("bad-token", f"unknown family {ce.family!r}")
     if ce.check == "trial-exception":
         probe = FuzzReport(FuzzConfig(ce.seed, 0, ce.n, ce.n, ce.family))
         try:
@@ -640,6 +644,10 @@ def rerun_counterexample(ce: Counterexample) -> bool:
     check = CHECKS.get(ce.check)
     if check is None:
         raise ArrangementError("bad-token", f"unknown check {ce.check!r}")
+    if ce.family not in check.families:
+        raise ArrangementError("bad-token", f"check {ce.check} does not run on family {ce.family}")
+    if check.reads_encoding and not ce.witness:
+        raise ArrangementError("bad-token", f"check {ce.check} needs a witness")
     parse = parse_cycle if ce.family == "cyclic" else parse_nomenclature
     encoding = parse(ce.witness) if ce.witness else None
     return not check.holds(Case(fileio.parse_arrangement(ce.arrangement_text), encoding))

@@ -163,12 +163,10 @@ def cmp_angle(l1: Line, l2: Line) -> int:
     """Compare direction angles in (0, pi) exactly.
 
     Returns LESS/EQUAL/GREATER.  Valid because both canonical directions
-    have positive y component, so the cross product of the direction
-    vectors decides the order.
+    (-b, a) have positive y component, so their cross product
+    ``l1.a * l2.b - l2.a * l1.b`` decides the order.
     """
-    d1x, d1y = l1.direction
-    d2x, d2y = l2.direction
-    cross = d1x * d2y - d1y * d2x
+    cross = l1.a * l2.b - l2.a * l1.b
     if cross > 0:
         return LESS
     if cross < 0:

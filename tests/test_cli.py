@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +66,21 @@ def test_census_output(capsys):
     code, out, _ = run(capsys, "census", "-n", "5")
     assert code == 0
     assert out == "valid cycles: 11 (formula 2^{n-1}-n = 11)\n"
+
+
+def test_module_run_prints_the_census():
+    """``python -m linearr.cli`` runs the command line, as the console
+    script does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linearr.cli", "census", "-n", "5"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "valid cycles: 11 (formula 2^{n-1}-n = 11)\n", "",
+    )
 
 
 def test_census_range_error(capsys):

@@ -21,7 +21,12 @@ from linearr.fuzzing import (
     _minimize,
 )
 from linearr.geometry import ArrangementError
-from linearr.nomenclature import Nomenclature, format_nomenclature, parse_nomenclature
+from linearr.nomenclature import (
+    Nomenclature,
+    format_nomenclature,
+    parse_nomenclature,
+    realize_nomenclature,
+)
 
 
 def test_splitmix64_reference_vector():
@@ -184,6 +189,22 @@ def test_counterexample_refails_from_serialized_form():
         family="cyclic",
     )
     assert rerun_counterexample(honest) is False
+
+
+NOM5 = "1^+1 2^-1 3^+1 5^-1 4^+1"
+
+
+@pytest.mark.parametrize("check, witness, family", [
+    ("cycle_rule_vs_oracle", NOM5, "infinity"),  # the check runs on cycles only
+    ("sign_rule_vs_oracle", "", "infinity"),  # it reads the encoding
+    ("face_census", NOM5, "bogus"),
+], ids=["family-without-the-check", "empty-witness", "unknown-family"])
+def test_a_counterexample_that_cannot_replay_is_refused(check, witness, family):
+    text = format_arrangement(realize_nomenclature(parse_nomenclature(NOM5)))
+    ce = Counterexample(check, 0, 5, 0, "", text, witness, family)
+    with pytest.raises(ArrangementError) as err:
+        rerun_counterexample(ce)
+    assert err.value.code == "bad-token"
 
 
 def test_roundtrip_check_fails_on_labels_that_are_no_insertion_order():

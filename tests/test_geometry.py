@@ -18,6 +18,8 @@ from linearr.geometry import (
 from linearr.cyclicity import parse_cycle, realize_cycle
 from linearr.nomenclature import parse_nomenclature, realize_nomenclature
 
+from test_kernel import kernel_arrangements
+
 
 def pt(x, y):
     return Point(Fraction(x), Fraction(y))
@@ -162,3 +164,21 @@ def test_cmp_angle_is_a_strict_total_order_up_to_parallels():
             for c in lines:
                 if ab == LESS and cmp_angle(b, c) == LESS:
                     assert cmp_angle(a, c) == LESS
+
+
+def cmp_angle_by_directions(l1, l2):
+    """The form ``cmp_angle`` had: the cross product of the two primitive
+    direction vectors, each (-b, a) divided by its gcd."""
+    (d1x, d1y), (d2x, d2y) = l1.direction, l2.direction
+    cross = d1x * d2y - d1y * d2x
+    return LESS if cross > 0 else GREATER if cross < 0 else EQUAL
+
+
+def test_cmp_angle_equals_the_direction_vector_form():
+    pairs = 0
+    for arr in kernel_arrangements():
+        for a in arr.lines:
+            for b in arr.lines:
+                assert cmp_angle(a, b) == cmp_angle_by_directions(a, b)
+                pairs += 1
+    assert pairs > 5000

@@ -19,13 +19,16 @@ are built once per arrangement, cached tables keep no reference cycle,
 concurrency errors name the least triple, realized coefficients stay short,
 and invariant checks, the sweep's among them, survive ``python -O``."""
 
+import builtins
 import gc
+import inspect
 import os
 import subprocess
 import sys
 import weakref
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -293,32 +296,65 @@ def test_realize_checks_its_labels_under_optimize():
     assert run_under_optimize(script) == ["optimized", "internal-invariant"]
 
 
+def corrupted_sort(how):
+    """``sorted`` with a build's vertex sort corrupted: two crossings of one
+    line swapped (``"swap"``) or the whole order reversed."""
+
+    def sort(items, key):
+        out = builtins.sorted(items, key=key)
+        if isinstance(items, range):  # the vertex ranks, not the angle sort
+            if how == "reverse":
+                out.reverse()
+            else:
+                n = (1 + isqrt(1 + 8 * len(out))) // 2
+                pairs = list(combinations(range(1, n + 1), 2))  # rank order
+                t = next(t for t in range(len(out))
+                         if set(pairs[out[t]]) & set(pairs[out[t + 1]]))
+                out[t], out[t + 1] = out[t + 1], out[t]
+        return out
+
+    return sort
+
+
 def test_an_inconsistent_sweep_raises_under_optimize():
-    """Two crossings of one line swapped in the sweep order, or the order
-    reversed, are caught by the level pass, for all faces and for a zone."""
+    """Two crossings of one line swapped in the build's vertex sort are
+    caught by the build's wire check, and the sort reversed, which is the
+    consistent sweep of the arrangement turned by 180 degrees, by its
+    orientation check; both before any face is asked for."""
     script = "\n".join([
-        "from linearr.arrangement import bounded_faces, build_arrangement",
+        "import builtins",
+        "from itertools import combinations",
+        "from math import isqrt",
+        "from linearr import arrangement",
         "from linearr.cyclicity import parse_cycle, realize_cycle",
         "from linearr.geometry import ArrangementError",
+        inspect.getsource(corrupted_sort),
         "print('debug' if __debug__ else 'optimized')",
         "lines = realize_cycle(parse_cycle('(1 3 4 2 5)')).lines",
-        "for corrupt in ('swap', 'reverse'):",
-        "    for zone in (None, 1):",
-        "        arr = build_arrangement(lines)",
-        "        order = arr._sweep_order",
-        "        if corrupt == 'reverse':",
-        "            order.reverse()",
-        "        else:",
-        "            t = next(t for t in range(len(order)) if set(order[t]) & set(order[t + 1]))",
-        "            order[t], order[t + 1] = order[t + 1], order[t]",
-        "        try:",
-        "            bounded_faces(arr, zone=zone)",
-        "        except ArrangementError as exc:",
-        "            print(exc.code)",
-        "        else:",
-        "            print('returned')",
+        "for how in ('swap', 'reverse'):",
+        "    arrangement.sorted = corrupted_sort(how)",
+        "    try:",
+        "        arrangement.build_arrangement(lines)",
+        "    except ArrangementError as exc:",
+        "        print(exc.code, str(exc).split()[2])",  # the sweep meets / runs
+        "    else:",
+        "        print('returned')",
     ])
-    assert run_under_optimize(script) == ["optimized"] + ["internal-invariant"] * 4
+    assert run_under_optimize(script) == [
+        "optimized", "internal-invariant", "meets", "internal-invariant", "runs",
+    ]
+
+
+@pytest.mark.parametrize("how", ["swap", "reverse"])
+def test_a_corrupted_vertex_sort_fails_the_build(monkeypatch, how):
+    """Every kernel arrangement, built with two crossings of one line swapped
+    in the vertex sort or with the sort reversed, fails the build."""
+    cases = list(kernel_arrangements())
+    monkeypatch.setattr(arrangement, "sorted", corrupted_sort(how), raising=False)
+    for arr in cases:
+        with pytest.raises(ArrangementError) as err:
+            build_arrangement(arr.lines)
+        assert err.value.code == "internal-invariant"
 
 
 def test_faces_need_three_lines():
@@ -384,12 +420,23 @@ def order_rows_by_popcount(n, bits):
     return tuple(rows)
 
 
+def levels_by_popcount(n, order, bits):
+    """The sweep indices of ``order`` grouped by the popcount of each
+    vertex's side bits, with one more empty level."""
+    levels = [[] for _ in range(n)]
+    for t, v in enumerate(order):
+        levels[bits[v].bit_count()].append(t)
+    return levels
+
+
 def sweep_by_determinants(lines, homog):
     """The vertices sorted by ``Fraction`` height, ties in combination order,
-    with the determinant side bits and the popcount rows."""
+    with the determinant side bits, the popcount rows and the popcount
+    levels."""
     bits = side_bits_by_determinants(lines, homog)
     order = sorted(homog, key=lambda v: (Fraction(homog[v][1], homog[v][2]), v))
-    return order, order_rows_by_popcount(len(lines), bits), bits
+    n = len(lines)
+    return order, order_rows_by_popcount(n, bits), bits, levels_by_popcount(n, order, bits)
 
 
 def orientation(p, q, r) -> int:
@@ -459,9 +506,13 @@ def large_realizations():
 
 def test_rows_and_bits_equal_the_determinant_form():
     for arr in chain(kernel_arrangements(), large_realizations()):
-        got = arrangement._sweep(arr.lines, arr._vertex_homog)
-        assert got == sweep_by_determinants(arr.lines, arr._vertex_homog)
-        assert got == (arr._sweep_order, arr.order_rows, arr._side_bits)
+        homog = arrangement._homogeneous_vertices(arr.lines)
+        assert homog == {
+            (i, j): meet(arr.line(i), arr.line(j)) for i, j in combinations(arr.ids, 2)
+        }
+        got = arrangement._sweep(arr.lines, homog)
+        assert got == sweep_by_determinants(arr.lines, homog)
+        assert got == (arr._sweep_order, arr.order_rows, arr._side_bits, arr._levels)
 
 
 def test_sweep_faces_equal_the_one_pass_walk():

@@ -1,7 +1,7 @@
 """Property test of the sweep kernel: on random sets of lines with small
 coefficients, many of them through a few shared points, the build either
 fails exactly as the determinant-per-triple kernel makes it fail, or gives
-the same sweep order, rows and side bits, the face edge lists and gonality
+the same sweep order, rows, side bits and levels, the face edge lists and gonality
 cycle of the one-pass half-edge walk, every zone of those faces, and the
 triangle oracle, canonical infinity permutation and triangle classes read
 off the rows equal their cubic reference forms."""
@@ -70,7 +70,7 @@ def reference(raw):
         oracle = triangle_faces_by_triples(arr)
         perm = canonical_permutation_by_bit_folds(arr)[0]
         classes = triangle_classes_by_pairs(oracle)
-        rows = arr._sweep_order, arr.order_rows, arr._side_bits
+        rows = arr._sweep_order, arr.order_rows, arr._side_bits, arr._levels
         return rows, oracle, perm, classes, faces, zones, cycle
 
 
@@ -86,7 +86,7 @@ def rows_first(raw):
     oracle = triangle_faces_oracle(arr)
     perm = canonical_infinity_permutation(arr)
     classes = triangle_equivalence_classes(oracle)
-    rows = arr._sweep_order, arr.order_rows, arr._side_bits
+    rows = arr._sweep_order, arr.order_rows, arr._side_bits, arr._levels
     return rows, oracle, perm, classes, faces, zones, cycle
 
 
