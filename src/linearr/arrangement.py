@@ -18,8 +18,9 @@ line that order is the line's crossing order (its local sequence), in
 O(n^2 log n).  One pass over that order, in the build, checks every swap
 of two wires and gives the rows, each vertex's level (the gap between the
 wires it swaps) and the side signs of all lines at it as one int, bit m
-for line m.  The triangle oracle reads these bits; every bounded face runs
-from one crossing at its level to the next.  :class:`fractions.Fraction`
+for line m.  The triangle oracle, the corner test and the line-at-infinity
+test read these bits, many vertices per word operation; every bounded face
+runs from one crossing at its level to the next.  :class:`fractions.Fraction`
 appears only in the two offsets of the translation into conventional
 position and in error texts.
 """
@@ -29,9 +30,9 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, reduce
 from itertools import chain, combinations, compress, count
-from operator import eq
+from operator import and_, eq
 
 from .geometry import ArrangementError, Line, Point, cmp_angle, line
 
@@ -90,6 +91,25 @@ class Arrangement:
         if m == i or m == j or not 0 < m <= len(self.lines):
             raise KeyError((m, key))
         return -1
+
+    @cached_property
+    def _constant_sides(self) -> list[int]:
+        """Entry x: bit m is set iff line m has one side at every vertex of
+        line x off m, from ORs and ANDs of the bits of x's vertices (the
+        other line's bit set, as it is on that line).  Entry 0 is their AND:
+        bit m is set iff line m has one side at every vertex off m, as any
+        two are joined through a third one on their lines."""
+        n = len(self.lines)
+        full = (1 << (n + 1)) - 2
+        anyset, allset = [0] * (n + 1), [full] * (n + 1)
+        for (i, j), b in self._side_bits.items():
+            anyset[i] |= b
+            anyset[j] |= b
+            allset[i] &= b | 1 << j
+            allset[j] &= b | 1 << i
+        const = [a | full & ~o for a, o in zip(allset, anyset)]
+        const[0] = reduce(and_, const[1:])
+        return const
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -456,37 +476,19 @@ def triangle_equivalence_classes(triangles: TriangleSet) -> list[set]:
     return sorted(groups.values(), key=lambda g: min(g))
 
 
-def at_infinity_in_subset(arr: Arrangement, m: int, subset) -> bool:
-    """Is line m at infinity w.r.t. the sub-arrangement on ``subset`` ids?
-
-    True iff all vertices of subset \\ {m} share one strict side of line m.
-    Side signs are translation invariant, so the check needs no re-embedding
-    of the sub-arrangement.  Vacuously true when fewer than two other lines
-    remain.
-    """
-    others = [i for i in subset if i != m]
-    want = 0
-    for i, j in combinations(others, 2):
-        s = arr.side_at(m, i, j)
-        if want == 0:
-            want = s
-        elif s != want:
-            return False
-    return True
-
-
 def is_line_at_infinity_geom(arr: Arrangement, which) -> bool:
     """Line-at-infinity test, geometric form.
 
     ``which`` is a member id (vertices on the line itself are allowed) or an
     external :class:`Line` (must keep general position, else
     ``degenerate-extension``); true iff the relevant vertices all lie on one
-    strict side.
+    strict side.  A member's answer is one bit of a table the arrangement
+    folds once from its side bits.
     """
     if isinstance(which, int):
         if which not in arr.ids:
             raise ArrangementError("bad-position", f"no line with id {which}")
-        return at_infinity_in_subset(arr, which, arr.ids)
+        return bool(arr._constant_sides[0] >> which & 1)
     ln: Line = which
     for i, member in enumerate(arr.lines, 1):
         if member.a * ln.b == ln.a * member.b:
@@ -504,26 +506,15 @@ def is_line_at_infinity_geom(arr: Arrangement, which) -> bool:
     return len(sides) == 1
 
 
-def missed_quadrant(arr: Arrangement, i: int, j: int, m: int) -> tuple[int, int]:
-    """The one sign pair (side of L_i, side of L_j) that line m never realizes.
-
-    In general position every other line meets exactly three of the four
-    quadrants cut out by lines i and j; the answer identifies the fourth.
-
-    Along line m the side of L_i changes only at V_im and the side of L_j
-    only at V_jm.  The segment between them therefore realizes the signs
-    (side of L_i at V_jm, side of L_j at V_im); each ray beyond it flips one
-    of the two, and the quadrant never met is the one with both flipped.
-    """
-    return (-arr.side_at(i, j, m), -arr.side_at(j, i, m))
-
-
 def corner_points_quadrant(arr: Arrangement) -> set[VertexKey]:
     """Corner points, independently: {i,j} is a corner iff every other line
-    misses the same quadrant around the vertex of i and j."""
-    out = set()
-    for i, j in combinations(arr.ids, 2):
-        quads = {missed_quadrant(arr, i, j, m) for m in arr.ids if m not in (i, j)}
-        if len(quads) <= 1:
-            out.add((i, j))
-    return out
+    misses the same quadrant around the vertex of i and j.
+
+    Along line m the sides of L_i and L_j change only at V_im and V_jm, so
+    m misses the quadrant (-side of L_i at V_jm, -side of L_j at V_im), the
+    one opposite its segment between them.  All lines m miss the same one
+    iff line i has one side at every vertex of line j off i, and j at every
+    vertex of line i off j.
+    """
+    const = arr._constant_sides
+    return {(i, j) for i, j in combinations(arr.ids, 2) if const[i] >> j & const[j] >> i & 1}

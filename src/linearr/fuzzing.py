@@ -27,7 +27,6 @@ from . import fileio
 from .arrangement import (
     Arrangement,
     TriangleSet,
-    at_infinity_in_subset,
     build_arrangement,
     bounded_faces,
     corner_points,
@@ -265,6 +264,20 @@ class FuzzReport:
 # Alternate characterizations that exist only as fuzz oracles.
 
 
+def at_infinity_in_subset(arr: Arrangement, m: int, subset) -> bool:
+    """Is line m at infinity w.r.t. the sub-arrangement on ``subset`` ids?
+
+    True iff all vertices of subset \\ {m} share one strict side of line m.
+    Side signs are translation invariant, so the check needs no re-embedding
+    of the sub-arrangement.  Vacuously true when fewer than two other lines
+    remain.
+    """
+    pairs = combinations([i for i in subset if i != m], 2)
+    signs = (arr.side_at(m, i, j) for i, j in pairs)
+    first = next(signs, None)
+    return all(s == first for s in signs)
+
+
 def find_infinity_permutation(arr: Arrangement):
     """Any infinity permutation found by backtracking over all at-infinity
     choices (largest ids first), or None if the arrangement is not infinity
@@ -303,9 +316,9 @@ def is_isomorphic_trivial_global(a1: Arrangement, a2: Arrangement) -> bool:
 
 def vertex_quadrant_empty(arr: Arrangement, i: int, j: int) -> bool:
     """Is some quadrant around the vertex of i and j free of all other vertices?"""
-    occupied = set()
-    for p, q in combinations([x for x in arr.ids if x not in (i, j)], 2):
-        occupied.add((arr.side_at(i, p, q), arr.side_at(j, p, q)))
+    bits = arr._side_bits  # the quadrant of V_pq is (bit i, bit j) of its bits
+    others = [x for x in arr.ids if x not in (i, j)]
+    occupied = {(bits[v] >> i & 1, bits[v] >> j & 1) for v in combinations(others, 2)}
     return len(occupied) < 4
 
 
@@ -380,32 +393,25 @@ class Case:
     """An arrangement and its encoding: the nomenclature or cycle it
     realizes, the nomenclature derived from a generic sample, or None.
 
-    The oracle and each line's geometric at-infinity status are computed at
-    most once per case; the faces are already cached on the arrangement.
+    The oracle is computed at most once per case; the faces and the
+    at-infinity table are already cached on the arrangement.
     """
 
     def __init__(self, arr: Arrangement, encoding: Nomenclature | GonalityCycle | None):
         self.arr = arr
         self.encoding = encoding
-        self._at_infinity: dict[int, bool] = {}
 
     @cached_property
     def oracle(self) -> TriangleSet:
         return triangle_faces_oracle(self.arr)
 
-    def at_infinity(self, label: int) -> bool:
-        status = self._at_infinity.get(label)
-        if status is None:
-            status = self._at_infinity[label] = is_line_at_infinity_geom(self.arr, label)
-        return status
-
 
 def _infinity_mismatch(case: Case) -> int:
     """The first position whose symbolic at-infinity status differs from
     the geometric one, or 0."""
-    nom = case.encoding
+    arr, nom = case.arr, case.encoding
     for t in range(1, nom.n + 1):
-        if is_line_at_infinity_symbolic(nom, t) != case.at_infinity(nom.label_at(t)):
+        if is_line_at_infinity_symbolic(nom, t) != is_line_at_infinity_geom(arr, nom.label_at(t)):
             return t
     return 0
 
@@ -413,11 +419,11 @@ def _infinity_mismatch(case: Case) -> int:
 def _duality_mismatch(case: Case) -> int:
     """The first position whose line is at infinity in exactly one of the
     arrangement and the realization of the negated nomenclature, or 0."""
-    nom = case.encoding
+    arr, nom = case.arr, case.encoding
     negated = realize_nomenclature(nom.negated())
     for t in range(1, nom.n + 1):
         label = nom.label_at(t)
-        if case.at_infinity(label) != is_line_at_infinity_geom(negated, label):
+        if is_line_at_infinity_geom(arr, label) != is_line_at_infinity_geom(negated, label):
             return t
     return 0
 

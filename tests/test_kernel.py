@@ -9,9 +9,12 @@ and the derived nomenclature) and the faces read off the sweep equal the
 direct forms they replaced, which are kept here as references (the faces'
 reference is the half-edge walk with its convexity determinant); so do the
 oracle, permutation and triangle classes read off the rows their cubic
-forms, ``missed_quadrant`` its sample-point form, the opposite-orders fuzz check
-its crossing-parameter form and the integer-intercept realizer the
-combinatorial type of the ``Fraction``-margin realizer; the realizer's
+forms, ``missed_quadrant`` its sample-point form, the corners, the members'
+at-infinity statuses and the empty quadrants read off the side bits a word
+at a time their forms with one ``side_at`` call per sign (and they call no
+``side_at``), the opposite-orders fuzz check its crossing-parameter form
+and the integer-intercept realizer the combinatorial type of the
+``Fraction``-margin realizer; the realizer's
 bound over slope-adjacent meets gives the lines of its scan over every
 vertex, with at most two meets per line.  A build computes one vertex
 table and translates it.  Detection builds only line 1's zone, the faces
@@ -35,21 +38,25 @@ import pytest
 
 from linearr import arrangement, nomenclature
 from linearr.arrangement import (
+    Arrangement,
     Face,
-    at_infinity_in_subset,
     bounded_faces,
     build_arrangement,
-    missed_quadrant,
+    corner_points,
+    corner_points_quadrant,
+    is_line_at_infinity_geom,
     triangle_equivalence_classes,
     triangle_faces_oracle,
 )
 from linearr.cyclicity import detect_gonality_cycle, parse_cycle, realize_cycle
 from linearr.fuzzing import (
     SplitMix64,
+    at_infinity_in_subset,
     check_triangle_opposite_orders,
     gen_cyclic,
     gen_generic,
     gen_infinity_type,
+    vertex_quadrant_empty,
 )
 from linearr.geometry import (
     ArrangementError,
@@ -84,6 +91,62 @@ def vertex(arr, i, j):
     """The exact vertex of lines i and j."""
     x, y, w = arr._vertex_homog[(i, j) if i < j else (j, i)]
     return Point(Fraction(x, w), Fraction(y, w))
+
+
+def missed_quadrant(arr, i, j, m):
+    """The one sign pair (side of L_i, side of L_j) that line m never realizes.
+
+    In general position every other line meets exactly three of the four
+    quadrants cut out by lines i and j; the answer identifies the fourth.
+
+    Along line m the side of L_i changes only at V_im and the side of L_j
+    only at V_jm.  The segment between them therefore realizes the signs
+    (side of L_i at V_jm, side of L_j at V_im); each ray beyond it flips one
+    of the two, and the quadrant never met is the one with both flipped.
+    """
+    return (-arr.side_at(i, j, m), -arr.side_at(j, i, m))
+
+
+def corner_points_by_missed_quadrant(arr):
+    """{i,j} is a corner iff every other line misses the same quadrant."""
+    return {
+        (i, j) for i, j in combinations(arr.ids, 2)
+        if len({missed_quadrant(arr, i, j, m) for m in arr.ids if m not in (i, j)}) <= 1
+    }
+
+
+def vertex_quadrant_empty_by_side_at(arr, i, j):
+    """Some quadrant around V_ij holds no other vertex, from two side signs
+    per vertex."""
+    others = [x for x in arr.ids if x not in (i, j)]
+    occupied = {(arr.side_at(i, p, q), arr.side_at(j, p, q)) for p, q in combinations(others, 2)}
+    return len(occupied) < 4
+
+
+def verdicts_by_side_at(arr, pairs):
+    """The corners, every line's at-infinity status and the empty-quadrant
+    verdict at each of ``pairs``, one ``side_at`` call per sign."""
+    return (
+        corner_points_by_missed_quadrant(arr),
+        [at_infinity_in_subset(arr, m, arr.ids) for m in arr.ids],
+        [vertex_quadrant_empty_by_side_at(arr, i, j) for i, j in pairs],
+    )
+
+
+def verdicts_by_words(arr, pairs):
+    """The same verdicts from the library's word forms over the side bits."""
+    return (
+        corner_points_quadrant(arr),
+        [is_line_at_infinity_geom(arr, m) for m in arr.ids],
+        [vertex_quadrant_empty(arr, i, j) for i, j in pairs],
+    )
+
+
+def sampled_pairs(arr):
+    """Every pair up to n = 12; beyond, the corners and the consecutive ids."""
+    if arr.n <= 12:
+        return list(combinations(arr.ids, 2))
+    return sorted(corner_points(arr) | set(zip(arr.ids, arr.ids[1:])))
 
 
 def missed_quadrant_by_samples(arr, i, j, m):
@@ -121,6 +184,59 @@ def test_missed_quadrant_equals_the_sample_point_form():
             assert missed_quadrant(arr, i, j, m) == missed_quadrant_by_samples(arr, i, j, m)
             checked += 1
     assert checked > 20000
+
+
+def test_geometric_word_forms_equal_the_per_sign_forms():
+    """Corners, at-infinity statuses and empty quadrants read off the side
+    bits a word at a time equal the forms with one ``side_at`` call per sign."""
+    seen = [set(), set(), set()]
+    for arr in chain(kernel_arrangements(), large_realizations()):
+        pairs = sampled_pairs(arr)
+        corners, infinity, empty = verdicts_by_words(arr, pairs)
+        assert (corners, infinity, empty) == verdicts_by_side_at(arr, pairs)
+        seen[0].update(pair in corners for pair in pairs)
+        seen[1].update(infinity)
+        seen[2].update(empty)
+    assert seen == [{True, False}] * 3
+
+
+def test_geometric_word_forms_make_no_side_at_call(monkeypatch):
+    """The word forms on fresh arrangements, with ``side_at`` raising, give
+    what they give on other builds of the same lines."""
+    cases = [realize_nomenclature(parse_nomenclature(NOMENCLATURES[0])), *large_realizations()]
+    want = []
+    for arr in cases:
+        pairs = sampled_pairs(arr)
+        want.append((arr, pairs, verdicts_by_words(build_arrangement(arr.lines), pairs)))
+
+    def refuse(*args):
+        raise AssertionError("side_at called")
+
+    monkeypatch.setattr(Arrangement, "side_at", refuse)
+    for arr, pairs, verdicts in want:
+        assert verdicts_by_words(arr, pairs) == verdicts
+
+
+def test_geometric_word_forms_read_the_side_bits():
+    """On copies of the seven-line example with one side bit flipped, the
+    word forms still equal the per-sign forms, which read the same bits,
+    and each kind of verdict changes on some copy, while the rows stay."""
+    arr = realize_nomenclature(parse_nomenclature(NOMENCLATURES[0]))
+    pairs = list(combinations(arr.ids, 2))
+    clean = verdicts_by_words(arr, pairs)
+    changed = [False] * 3
+    for v, m in product(arr._side_bits, arr.ids):
+        if m in v:
+            continue
+        bits = dict(arr._side_bits)
+        bits[v] ^= 1 << m
+        bad = Arrangement(
+            arr.lines, arr._vertex_homog, arr._sweep_order, arr.order_rows, bits, arr._levels
+        )
+        got = verdicts_by_words(bad, pairs)
+        assert got == verdicts_by_side_at(bad, pairs)
+        changed = [c or g != w for c, g, w in zip(changed, got, clean)]
+    assert changed == [True, True, True]
 
 
 def test_zone_query_builds_only_its_faces(monkeypatch):

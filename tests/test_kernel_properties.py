@@ -4,7 +4,11 @@ fails exactly as the determinant-per-triple kernel makes it fail, or gives
 the same sweep order, rows, side bits and levels, the face edge lists and gonality
 cycle of the one-pass half-edge walk, every zone of those faces, and the
 triangle oracle, canonical infinity permutation and triangle classes read
-off the rows equal their cubic reference forms."""
+off the rows equal their cubic reference forms; so do the corners, the
+at-infinity statuses and the empty quadrants read off the side bits a word
+at a time."""
+
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +33,8 @@ from test_kernel import (
     sweep_by_determinants,
     triangle_classes_by_pairs,
     triangle_faces_by_triples,
+    verdicts_by_side_at,
+    verdicts_by_words,
 )
 
 COEFF = st.integers(-6, 6)
@@ -71,7 +77,8 @@ def reference(raw):
         perm = canonical_permutation_by_bit_folds(arr)[0]
         classes = triangle_classes_by_pairs(oracle)
         rows = arr._sweep_order, arr.order_rows, arr._side_bits, arr._levels
-        return rows, oracle, perm, classes, faces, zones, cycle
+        verdicts = verdicts_by_side_at(arr, list(combinations(arr.ids, 2)))
+        return rows, oracle, perm, classes, faces, zones, cycle, verdicts
 
 
 def rows_first(raw):
@@ -87,7 +94,8 @@ def rows_first(raw):
     perm = canonical_infinity_permutation(arr)
     classes = triangle_equivalence_classes(oracle)
     rows = arr._sweep_order, arr.order_rows, arr._side_bits, arr._levels
-    return rows, oracle, perm, classes, faces, zones, cycle
+    verdicts = verdicts_by_words(arr, list(combinations(arr.ids, 2)))
+    return rows, oracle, perm, classes, faces, zones, cycle, verdicts
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

@@ -122,7 +122,7 @@ def test_realize_prefix_infinity_property():
     nom = parse_nomenclature(SEVEN)
     arr = realize_nomenclature(nom)
     # every prefix line keeps all earlier vertices strictly on one side
-    from linearr.arrangement import at_infinity_in_subset
+    from linearr.fuzzing import at_infinity_in_subset
 
     for l in range(2, nom.n + 1):
         assert at_infinity_in_subset(arr, nom.labels[l - 1], nom.labels[:l])
