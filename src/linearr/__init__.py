@@ -30,7 +30,7 @@ from .fileio import (
     save_arrangement,
 )
 from .fuzzing import FuzzConfig, FuzzReport, SplitMix64, fuzz_differential
-from .geometry import ArrangementError, Line, Point, Rat, cmp_angle, intersect, line, side
+from .geometry import ArrangementError, Line, Point, cmp_angle, intersect, line, side
 from .infinity import (
     is_line_at_infinity_symbolic,
     is_nomenclature_triangle,

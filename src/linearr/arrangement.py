@@ -20,9 +20,10 @@ of two wires and gives the rows, each vertex's level (the gap between the
 wires it swaps) and the side signs of all lines at it as one int, bit m
 for line m.  The triangle oracle, the corner test and the line-at-infinity
 test read these bits, many vertices per word operation; every bounded face
-runs from one crossing at its level to the next.  :class:`fractions.Fraction`
-appears only in the two offsets of the translation into conventional
-position and in error texts.
+runs from one crossing at its level to the next.  The vertices live only
+in the build; SVG output and the external-line test compute them from the
+lines.  :class:`fractions.Fraction` appears only in the two offsets of the
+translation into conventional position and in error texts.
 """
 
 from __future__ import annotations
@@ -43,20 +44,20 @@ Rows = tuple[tuple[int, ...], ...]  # row i - 1: the other ids in crossing order
 
 
 class Arrangement:
-    """Immutable container for the lines plus their derived tables.
+    """Immutable container for the lines plus their combinatorial tables.
 
     Construct through :func:`build_arrangement`, which validates, angle-sorts
-    and conventionally embeds the lines and hands over their tables: each
-    vertex as an integer triple (X, Y, W) with W > 0, the sweep order of the
-    vertices (bottom to top), the ``order_rows`` (row i - 1: the other ids
-    along line i's conventional orientation), the side bits (bit m of vertex
-    (i, j) is set iff line m has side +1 there; read single signs through
-    :meth:`side_at`) and the levels (the sweep indices of each level).
+    and conventionally embeds the lines and hands over their tables: the
+    sweep order of the vertices (bottom to top, as (i, j) keys), the
+    ``order_rows`` (row i - 1: the other ids along line i's conventional
+    orientation), the side bits (bit m of vertex (i, j) is set iff line m has
+    side +1 there; read single signs through :meth:`side_at`) and the levels
+    (the sweep indices of each level).  It keeps no vertex coordinates; its
+    methods read only these tables, and n is the number of rows.
     """
 
-    def __init__(self, lines: tuple[Line, ...], homog, order, rows: Rows, bits, levels):
+    def __init__(self, lines: tuple[Line, ...], order, rows: Rows, bits, levels):
         self.lines = lines
-        self._vertex_homog = homog
         self._sweep_order = order
         self.order_rows = rows
         self._side_bits = bits
@@ -64,7 +65,7 @@ class Arrangement:
 
     @property
     def n(self) -> int:
-        return len(self.lines)
+        return len(self.order_rows)
 
     @property
     def ids(self) -> range:
@@ -88,7 +89,7 @@ class Arrangement:
         if m > 0 and self._side_bits[key] >> m & 1:
             return 1
         # a clear bit is side -1 only for a line off the vertex
-        if m == i or m == j or not 0 < m <= len(self.lines):
+        if m == i or m == j or not 0 < m <= self.n:
             raise KeyError((m, key))
         return -1
 
@@ -99,7 +100,7 @@ class Arrangement:
         other line's bit set, as it is on that line).  Entry 0 is their AND:
         bit m is set iff line m has one side at every vertex off m, as any
         two are joined through a third one on their lines."""
-        n = len(self.lines)
+        n = self.n
         full = (1 << (n + 1)) - 2
         anyset, allset = [0] * (n + 1), [full] * (n + 1)
         for (i, j), b in self._side_bits.items():
@@ -262,7 +263,8 @@ def build_arrangement(raw) -> Arrangement:
     # ty lifts the lowest vertex, the first of the sweep, to y = 1, then tx
     # moves the leftmost vertex or x intercept to x = 1; each is needed only
     # when that bound is <= 0.  Along a non-horizontal line x is monotone in
-    # row order, so the leftmost vertex sits at an end of a row.
+    # row order, so the leftmost vertex sits at an end of a row.  The check
+    # below reads every vertex, so it does not rest on the sweep order.
     _, y, w = homog[order[0]]
     ty = 1 - Fraction(y, w) if y <= 0 else 0
     r, s = ty.numerator, ty.denominator
@@ -276,13 +278,15 @@ def build_arrangement(raw) -> Arrangement:
     )))
     tx = 1 - min_x if min_x <= 0 else 0
     if tx or ty:
-        # the vertices move too: (X/W + p/q, Y/W + r/s), over the denominator Wqs
+        # the vertices move to (X/W + p/q, Y/W + r/s): numerators over Wqs > 0
         p, q = tx.numerator, tx.denominator
         qs, ps, rq = q * s, p * s, r * q
         lines = [ln.translated(tx, ty) for ln in lines]
-        homog = {v: (x * qs + ps * w, y * qs + rq * w, w * qs) for v, (x, y, w) in homog.items()}
-    arr = Arrangement(tuple(lines), homog, order, rows, bits, levels)
-    if not all(x > 0 and y > 0 for x, y, _ in homog.values()):
+        inside = all(x * qs + ps * w > 0 and y * qs + rq * w > 0 for x, y, w in homog.values())
+    else:
+        inside = all(x > 0 and y > 0 for x, y, _ in homog.values())
+    arr = Arrangement(tuple(lines), order, rows, bits, levels)
+    if not inside:
         raise ArrangementError(
             "internal-invariant", "a vertex lies outside the open first quadrant"
         )
@@ -483,7 +487,8 @@ def is_line_at_infinity_geom(arr: Arrangement, which) -> bool:
     external :class:`Line` (must keep general position, else
     ``degenerate-extension``); true iff the relevant vertices all lie on one
     strict side.  A member's answer is one bit of a table the arrangement
-    folds once from its side bits.
+    folds once from its side bits; an external line is tested against the
+    vertices of the lines, computed for the call.
     """
     if isinstance(which, int):
         if which not in arr.ids:
@@ -496,7 +501,7 @@ def is_line_at_infinity_geom(arr: Arrangement, which) -> bool:
                 "degenerate-extension", f"external line is parallel to line {i}"
             )
     sides = set()
-    for x, y, w in arr._vertex_homog.values():
+    for x, y, w in _homogeneous_vertices(arr.lines).values():
         s = ln.a * x + ln.b * y - ln.c * w  # the side's sign, as W > 0
         if s == 0:
             raise ArrangementError(

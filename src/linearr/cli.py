@@ -13,6 +13,7 @@ import sys
 
 from .arrangement import (
     corner_points,
+    is_line_at_infinity_geom,
     triangle_equivalence_classes,
     triangle_faces_oracle,
 )
@@ -127,8 +128,6 @@ def _cmd_infinity_line(args) -> int:
         return 2
     t = nom.position_of(args.line)
     if args.geometric:
-        from .arrangement import is_line_at_infinity_geom
-
         status = is_line_at_infinity_geom(realize_nomenclature(nom), args.line)
     else:
         status = is_line_at_infinity_symbolic(nom, t)

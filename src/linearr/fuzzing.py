@@ -603,9 +603,10 @@ def _trial(report: FuzzReport, family: str, trial: int, n: int, seed: int):
         report.note_violations += find_infinity_permutation(arr) is not None
     realize = realize_nomenclature if family == "infinity" else realize_cycle
     other = realize(encoding, variant=1)
-    if not is_isomorphic_trivial(arr, other):
+    stable = is_isomorphic_trivial(arr, other)
+    if not stable:
         report.stability_violations += 1
-    if is_isomorphic_trivial(arr, other) != is_isomorphic_trivial_global(arr, other):
+    if stable != is_isomorphic_trivial_global(arr, other):
         report.iso_reading_disagreements += 1
 
 

@@ -1,15 +1,16 @@
 """Exact lines, points and the predicates everything else builds on.
 
 Lines are stored in a canonical integer form so that equality, hashing and
-orientation are well defined.  The vertex of two lines is kept as an integer
+orientation are well defined.  The vertex of two lines is an integer
 homogeneous triple (:func:`meet`), so the side of a line at a vertex is the
 sign of one integer expression and the crossing order along a line is an
 order of integer keys; every predicate of the library is decided that way,
 and :meth:`Line.translated` stays in integers too.
-:class:`fractions.Fraction` remains for points given by the user, the
-offsets of the translation into conventional position and output; both
-realizers build their lines from integers, which :func:`line` reduces
-without it.  No floating point ever influences a combinatorial result.
+:class:`fractions.Fraction` remains for rational coefficients in the input
+(``p/q``), the offsets of the translation into conventional position, the
+point named by a ``concurrent-triple`` error and output; both realizers
+build their lines from integers, which :func:`line` reduces without it.
+No floating point ever influences a combinatorial result.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ class ArrangementError(ValueError):
         self.code = code
 
 
-Rat = Fraction
-
 # Comparison results of cmp_angle.
 LESS = -1
 EQUAL = 0
@@ -43,9 +42,6 @@ GREATER = 1
 class Point:
     x: Fraction
     y: Fraction
-
-    def translated(self, dx: Fraction, dy: Fraction) -> "Point":
-        return Point(self.x + dx, self.y + dy)
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,6 @@ class Line:
         """Primitive direction vector of increasing y along the line."""
         g = gcd(abs(self.b), self.a)
         return (-self.b // g, self.a // g)
-
-    def x_intercept(self) -> Fraction:
-        return Fraction(self.c, self.a)
 
     def translated(self, dx: Fraction, dy: Fraction) -> "Line":
         """The line moved by (dx, dy): a*x + b*y = c + a*dx + b*dy, scaled by

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement, triangle_faces_oracle
+from .arrangement import Arrangement, _homogeneous_vertices, triangle_faces_oracle
 from .geometry import ArrangementError, Line, Point
 
 _WIDTH = Fraction(800)
@@ -62,9 +62,8 @@ def _clip(ln: Line, x0, x1, y0, y1):
 
 
 def svg_text(arr: Arrangement, spec: RenderSpec) -> str:
-    vertex = {
-        k: Point(Fraction(x, w), Fraction(y, w)) for k, (x, y, w) in arr._vertex_homog.items()
-    }
+    homog = _homogeneous_vertices(arr.lines)
+    vertex = {k: Point(Fraction(x, w), Fraction(y, w)) for k, (x, y, w) in homog.items()}
     vs = list(vertex.values())
     x0 = min(v.x for v in vs) - spec.padding
     x1 = max(v.x for v in vs) + spec.padding

@@ -24,9 +24,8 @@ SEVEN = "1^+1 2^-1 3^+1 7^+1 6^+1 4^-1 5^+1"
 
 def vertices(arr) -> dict:
     """Every vertex of ``arr`` as an exact point."""
-    return {
-        k: Point(Fraction(x, w), Fraction(y, w)) for k, (x, y, w) in arr._vertex_homog.items()
-    }
+    homog = arrangement._homogeneous_vertices(arr.lines)
+    return {k: Point(Fraction(x, w), Fraction(y, w)) for k, (x, y, w) in homog.items()}
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +40,7 @@ def seven():
 
 def test_build_translates_with_margin_one(three):
     # x intercepts (0, 1, 3) force a shift of +1: intercepts become (1, 2, 4)
-    assert [ln.x_intercept() for ln in three.lines] == [1, 2, 4]
+    assert [Fraction(ln.c, ln.a) for ln in three.lines] == [1, 2, 4]
     assert all(v.x > 0 and v.y > 0 for v in vertices(three).values())
 
 

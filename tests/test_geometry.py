@@ -108,7 +108,7 @@ def test_side_is_translation_covariant():
     s = side(ln, p)
     for dx, dy in ((1, 0), (0, 1), (-7, 3), (Fraction(1, 3), Fraction(-5, 2))):
         moved = ln.translated(Fraction(dx), Fraction(dy))
-        assert side(moved, p.translated(Fraction(dx), Fraction(dy))) == s
+        assert side(moved, Point(p.x + dx, p.y + dy)) == s
 
 
 @pytest.mark.parametrize("variant", [0, 1])

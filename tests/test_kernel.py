@@ -89,7 +89,7 @@ CYCLES = ["(1 3 4 2 5)", "(1 2 5 7 3 4 6 8)", "(1 4 6 9 2 3 5 7 8 10)"]
 
 def vertex(arr, i, j):
     """The exact vertex of lines i and j."""
-    x, y, w = arr._vertex_homog[(i, j) if i < j else (j, i)]
+    x, y, w = meet(arr.line(i), arr.line(j))
     return Point(Fraction(x, w), Fraction(y, w))
 
 
@@ -230,9 +230,7 @@ def test_geometric_word_forms_read_the_side_bits():
             continue
         bits = dict(arr._side_bits)
         bits[v] ^= 1 << m
-        bad = Arrangement(
-            arr.lines, arr._vertex_homog, arr._sweep_order, arr.order_rows, bits, arr._levels
-        )
+        bad = Arrangement(arr.lines, arr._sweep_order, arr.order_rows, bits, arr._levels)
         got = verdicts_by_words(bad, pairs)
         assert got == verdicts_by_side_at(bad, pairs)
         changed = [c or g != w for c, g, w in zip(changed, got, clean)]
@@ -344,11 +342,10 @@ def test_concurrent_triple_names_the_first_triple_in_combination_order(raw, mess
         assert str(err.value) == message
 
 
-def test_build_keeps_the_vertex_table_of_a_conventional_input(monkeypatch):
-    """A build computes one vertex table.  A conventional input keeps it; a
-    translated input gets it translated, which are the meets of its
-    translated lines as exact points, and its lowest vertex and leftmost
-    vertex or intercept land exactly on 1."""
+def test_build_computes_one_vertex_table_and_keeps_none(monkeypatch):
+    """A build computes one vertex table, and the arrangement does not hold
+    it.  A translated input's lines then meet with W > 0, and its lowest
+    vertex and leftmost vertex or intercept land exactly on 1."""
     cases = list(chain(kernel_arrangements(), large_realizations()))
     homogeneous = arrangement._homogeneous_vertices
     tables = []
@@ -357,26 +354,23 @@ def test_build_keeps_the_vertex_table_of_a_conventional_input(monkeypatch):
         tables.append(homogeneous(lines))
         return tables[-1]
 
-    def points(table):
-        return {k: (Fraction(x, w), Fraction(y, w)) for k, (x, y, w) in table.items()}
-
     monkeypatch.setattr(arrangement, "_homogeneous_vertices", recording)
     for realized in cases:
         tables.clear()
         arr = build_arrangement(realized.lines)
         assert arr.lines == realized.lines
-        assert len(tables) == 1 and arr._vertex_homog is tables[0]
+        assert len(tables) == 1
+        assert all(value is not tables[0] for value in vars(arr).values())
 
         tables.clear()
         moved = build_arrangement(ln.translated(-1000, -1000) for ln in realized.lines)
         assert len(tables) == 1
         assert moved.order_rows == realized.order_rows
-        got = points(moved._vertex_homog)
-        assert got == points(homogeneous(moved.lines))
-        assert all(w > 0 for _, _, w in moved._vertex_homog.values())
-        assert min(y for _, y in got.values()) == 1
+        table = homogeneous(moved.lines)
+        assert all(w > 0 for _, _, w in table.values())
+        assert min(Fraction(y, w) for _, y, w in table.values()) == 1
         assert min(chain(
-            (x for x, _ in got.values()),
+            (Fraction(x, w) for x, _, w in table.values()),
             (Fraction(ln.c, ln.a) for ln in moved.lines),
         )) == 1
 
@@ -414,19 +408,23 @@ def test_realize_checks_its_labels_under_optimize():
 
 def corrupted_sort(how):
     """``sorted`` with a build's vertex sort corrupted: two crossings of one
-    line swapped (``"swap"``) or the whole order reversed."""
+    line swapped (``"swap"``), the whole order reversed (``"reverse"``), or
+    the first two crossings swapped when they share no line (``"first"``),
+    which leaves a certified sweep whose first vertex need not be lowest."""
 
     def sort(items, key):
         out = builtins.sorted(items, key=key)
         if isinstance(items, range):  # the vertex ranks, not the angle sort
+            n = (1 + isqrt(1 + 8 * len(out))) // 2
+            pairs = list(combinations(range(1, n + 1), 2))  # rank order
+            apart = [not set(pairs[a]) & set(pairs[b]) for a, b in zip(out, out[1:])]
             if how == "reverse":
                 out.reverse()
-            else:
-                n = (1 + isqrt(1 + 8 * len(out))) // 2
-                pairs = list(combinations(range(1, n + 1), 2))  # rank order
-                t = next(t for t in range(len(out))
-                         if set(pairs[out[t]]) & set(pairs[out[t + 1]]))
+            elif how == "swap":
+                t = apart.index(False)
                 out[t], out[t + 1] = out[t + 1], out[t]
+            elif apart[0]:
+                out[0], out[1] = out[1], out[0]
         return out
 
     return sort
@@ -471,6 +469,34 @@ def test_a_corrupted_vertex_sort_fails_the_build(monkeypatch, how):
         with pytest.raises(ArrangementError) as err:
             build_arrangement(arr.lines)
         assert err.value.code == "internal-invariant"
+
+
+def test_the_first_quadrant_check_reads_every_vertex(monkeypatch):
+    """The translation lifts the sweep's first vertex to y = 1.  With the
+    first two crossings swapped where they share no line, the sweep is still
+    certified, but that vertex is the lowest only at a tie in height.  On
+    lines scaled by 10**6 and moved down and left by 10**9, so that the
+    translation applies and a gap in height reaches 1, the lowest vertex then
+    lands at y <= 0, and only a check over every vertex sees it."""
+    draws = [gen_infinity_type(n, seed)[1] for n in (5, 8) for seed in range(20)]
+    draws += [gen_cyclic(8, seed)[1] for seed in range(20)]
+    cases = []
+    for arr in draws:
+        u, v = arr._sweep_order[:2]
+        if not set(u) & set(v):
+            (_, y0, w0), (_, y1, w1) = meet(*map(arr.line, u)), meet(*map(arr.line, v))
+            lines = [line(ln.a, ln.b, ln.c * 10**6 - (ln.a + ln.b) * 10**9) for ln in arr.lines]
+            cases.append((arr, lines, y0 * w1 != y1 * w0))
+    assert [gap for *_, gap in cases].count(False) == 1 and len(cases) == 20
+    monkeypatch.setattr(arrangement, "sorted", corrupted_sort("first"), raising=False)
+    for arr, lines, gap in cases:
+        if not gap:  # an equally lowest vertex comes first
+            assert build_arrangement(lines).order_rows == arr.order_rows
+            continue
+        with pytest.raises(ArrangementError) as err:
+            build_arrangement(lines)
+        assert err.value.code == "internal-invariant"
+        assert str(err.value) == "a vertex lies outside the open first quadrant"
 
 
 def test_faces_need_three_lines():
@@ -576,7 +602,7 @@ def faces_by_full_walk(arr):
     line there, and a walk that runs off a row has reached an unbounded
     face."""
     rows = (None,) + arr.order_rows
-    homog = arr._vertex_homog
+    homog = arrangement._homogeneous_vertices(arr.lines)
     last = arr.n - 2
     pos = [None] + [{j: p for p, j in enumerate(row)} for row in rows[1:]]
     seen = set()
